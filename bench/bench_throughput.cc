@@ -70,9 +70,7 @@ struct PhaseMs
 /** Read the per-phase totals out of the tracing aggregate the
  *  engine's phase spans feed while armed — the same numbers an
  *  exported Chrome trace of the run would show, so the table, the
- *  JSON and the trace all come from one timing source
- *  (tests/test_trace.cc pins this aggregate to the engine's own
- *  PhaseBreakdown counters). */
+ *  JSON and the trace all come from one timing source. */
 PhaseMs
 phaseMs(const obs::TraceRecorder &rec, size_t reps)
 {
@@ -158,10 +156,8 @@ main()
     nn::Tensor img = nn::DigitDataset::render(3, 7);
 
     // --- single-image latency, both engine modes -------------------
-    // The per-phase breakdown comes from the tracing aggregate (armed
-    // around the timed reps) rather than a private PhaseBreakdown;
-    // cost-wise this is the same as the old profiled run — the phase
-    // clocks were already on — plus one ring write per phase span.
+    // The per-phase breakdown comes from the tracing aggregate, armed
+    // around the timed reps (one ring write per phase span).
     obs::TraceRecorder &rec = obs::TraceRecorder::instance();
     sc_net.setEngineMode(core::EngineMode::Fused);
     sc_net.predict(img, 1); // warm-up
@@ -198,7 +194,7 @@ main()
     size_t prog_exits = 0;
     t0 = std::chrono::steady_clock::now();
     for (size_t r = 0; r < fused_reps; ++r) {
-        prog_net.predict(img, 2 + r, nullptr, &prog_info);
+        prog_net.predict(img, 2 + r, &prog_info);
         prog_bits += prog_info.effective_bits;
         prog_exits += prog_info.early_exit ? 1 : 0;
     }
@@ -213,10 +209,10 @@ main()
     core::PredictOptions binary_opts;
     binary_opts.mode = core::EngineMode::Binary;
     const size_t binary_reps = fused_reps * 100;
-    sc_net.predictWith(img, 1, binary_opts, nullptr, nullptr); // warm-up
+    sc_net.predictWith(img, 1, binary_opts); // warm-up
     t0 = std::chrono::steady_clock::now();
     for (size_t r = 0; r < binary_reps; ++r)
-        sc_net.predictWith(img, 2 + r, binary_opts, nullptr, nullptr);
+        sc_net.predictWith(img, 2 + r, binary_opts);
     const double binary_ms =
         msSince(t0) / static_cast<double>(binary_reps);
     const double binary_speedup = fused_ms / binary_ms;
@@ -248,10 +244,8 @@ main()
             const nn::Tensor &di = acc_test.samples[i].image;
             const size_t label = acc_test.samples[i].label;
             sc_correct +=
-                acc_sc.predictWith(di, 777 + i * 7919, acc_fused,
-                                   nullptr, nullptr) == label;
-            bnn_correct += acc_sc.predictWith(di, 0, binary_opts,
-                                              nullptr, nullptr) == label;
+                acc_sc.predictWith(di, 777 + i * 7919, acc_fused) == label;
+            bnn_correct += acc_sc.predictWith(di, 0, binary_opts) == label;
         }
     }
     const double sc_acc = static_cast<double>(sc_correct) / kAccImages;
@@ -423,12 +417,10 @@ main()
             const double bips =
                 static_cast<double>(batch_images) / (bms / 1000.0);
             const double ratio = bips / (1000.0 / ms);
-            topo_net.predictWith(img, 1, binary_opts, nullptr,
-                                 nullptr); // warm-up
+            topo_net.predictWith(img, 1, binary_opts); // warm-up
             t0 = std::chrono::steady_clock::now();
             for (size_t r = 0; r < binary_reps; ++r)
-                topo_net.predictWith(img, 2 + r, binary_opts, nullptr,
-                                     nullptr);
+                topo_net.predictWith(img, 2 + r, binary_opts);
             const double bin_ms =
                 msSince(t0) / static_cast<double>(binary_reps);
             const double bin_ratio = ms / bin_ms;

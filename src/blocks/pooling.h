@@ -159,34 +159,19 @@ void binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
                         MaxPoolCarryState &state, uint16_t *out);
 
 /**
- * Batch-axis binaryMaxPoolRange: one call pools the same (pixel,
- * window set) for a whole micro-batch. For image j, the pool inputs
- * are counts[j * n_inputs + k] (k < n_inputs), the carried selector
- * state is *states[j], and the pooled counts land at outs[j] — each
- * image bit-exact with a per-image binaryMaxPoolRange call. The
- * pooling-segment boundaries are identical across images, so the
- * chunk walk is computed once and the per-chunk segment sums run
- * inline over all images instead of paying a dispatch round-trip per
- * (image, chunk) — the main cost of the per-image walk at the paper's
- * segment_len of 16.
- */
-void binaryMaxPoolRangeBatch(const uint16_t *const *counts,
-                             size_t n_images, size_t n_inputs,
-                             size_t abs_begin, size_t n_cycles,
-                             size_t segment_len, bool accumulate,
-                             MaxPoolCarryState *const *states,
-                             uint16_t *const *outs);
-
-/**
- * binaryMaxPoolRangeBatch over count *planes* instead of materialized
- * per-cycle counts (the sc::fusedProductPlanesMulti* form, plane_cap
- * planes plus a parity word per range-local 64-cycle word). The
+ * Batch-axis binaryMaxPoolRange over count *planes* instead of
+ * materialized per-cycle counts (the sc::fusedProductPlanesMultiBatch
+ * form, plane_cap planes plus a parity word per range-local 64-cycle
+ * word): one call pools a whole set of pixels (images) whose pooling
+ * segments share the same boundaries, so the chunk walk is computed
+ * once. The
  * Figure 8 selector only ever emits the input selected by the
  * *previous* segment, so the losing inputs' per-cycle counts are never
  * needed: segment evidence comes straight from plane popcounts, and
  * only the selected input's words are transposed back to counts — the
  * bulk of the transpose work the counts form pays for every input.
- * planes[j * n_inputs + k] points at (image j, input k)'s plane words;
+ * planes[j * n_inputs + k] points at (image j, input k)'s plane words
+ * and *states[j] is image j's carried selector state;
  * @p parity selects the approximate-counter LSB substitution, matching
  * the producer's `approximate`. @p abs_begin must be word-aligned (the
  * producer's range starts on a word). Pooled counts for image j land

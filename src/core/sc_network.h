@@ -15,19 +15,20 @@
  *
  * Weight streams are generated once per network instance and shared by
  * all feature extraction blocks of a filter, mirroring the
- * filter-aware SRAM sharing scheme of Section 5.1. Each filter's /
- * neuron's weight streams — and each layer's pixel streams — are
- * packed into one contiguous StreamArena, so the fused kernels stream
- * through memory via BitstreamViews instead of chasing per-Bitstream
- * heap allocations.
+ * filter-aware SRAM sharing scheme of Section 5.1. Each stage's weight
+ * streams (in the filter-interleaved layout) and each layer's pixel
+ * streams (per image) are packed into contiguous arenas, so the fused
+ * kernels stream through memory via BitstreamViews instead of chasing
+ * per-Bitstream heap allocations.
  */
 
 #ifndef SCDCNN_CORE_SC_NETWORK_H
 #define SCDCNN_CORE_SC_NETWORK_H
 
 #include <array>
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "blocks/pooling.h"
@@ -50,24 +51,27 @@ namespace core {
 /**
  * Which kernel implementation the engine runs on.
  *
- * Fused is the production path: filter-blocked word-parallel kernels
- * over the packed uint64_t words (SIMD-dispatched where available),
- * table-driven activation FSMs, reusable per-thread workspaces,
- * layers fanned out across the thread pool, the whole network
- * advanced in stream segments (ScNetworkConfig::stream_segment_words)
- * with FSM/pooling/select state carried across segments. Reference
- * drives the same network structure through the bit-serial oracle
- * kernels (one bit per cycle, whole streams) and the scalar
- * Stanh/Btanh steppers — the ground truth the fused path is tested
- * against and the baseline bench_throughput measures speedup over.
- * Progressive is Fused plus stochastic computing's progressive
- * precision: after each segment the output layer's class-score gap is
- * tested and the remaining segments are skipped once the argmax
- * margin exceeds ScNetworkConfig::progressive_margin — a
- * latency/accuracy trade, so it is opt-in and never the default.
- * Fused and Reference consume identical RNG sequences, so their
- * predictions are bit-exact across modes, segment sizes, and thread
- * counts.
+ * Fused is the production path: the weight-stationary batch-axis
+ * kernels (filter-blocked, word-parallel over the packed uint64_t
+ * words, SIMD-dispatched where available), table-driven activation
+ * FSMs, reusable per-thread workspaces and layers fanned out across
+ * the thread pool. A single image is a micro-batch of one on the same
+ * path. The network advances in stream segments of
+ * ScNetworkConfig::batch_stream_segment_words (whole-stream by
+ * default) with FSM/pooling/select state carried across segments.
+ * Reference drives the same network structure through the bit-serial
+ * oracle kernels (one bit per cycle, whole streams, one image at a
+ * time) and the scalar Stanh/Btanh steppers — the single ground truth
+ * the fused path is tested against and the baseline bench_throughput
+ * measures speedup over. Progressive is Fused plus stochastic
+ * computing's progressive precision: the network advances in
+ * ScNetworkConfig::stream_segment_words segments, after each one the
+ * output layer's class-score gap is tested, and an image leaves the
+ * active set once its argmax margin exceeds
+ * ScNetworkConfig::progressive_margin — a latency/accuracy trade, so
+ * it is opt-in and never the default. Fused and Reference consume
+ * identical RNG sequences, so their predictions are bit-exact across
+ * modes, segment sizes, batch shapes and thread counts.
  * Binary is the XNOR-popcount sibling backend (core/binary_net.h):
  * the same derived plan executed at stream length 1 with
  * sign-quantized weights, popcount-sign activations, and no stream
@@ -81,24 +85,6 @@ enum class EngineMode
     Reference,
     Progressive,
     Binary,
-};
-
-/**
- * Which execution strategy forwardBatch uses for a micro-batch.
- *
- * Batched is the weight-stationary batch-axis path: each filter
- * block's weight words are loaded once per segment and XNORed against
- * the corresponding input-window words of every image in the batch
- * before advancing, so weights stay cache-resident while activations
- * stream. Loop is the original per-image predictWith fan-out — the
- * differential oracle the batched path is tested against. Both paths
- * consume identical per-image RNG sequences and are bit-exact with
- * each other and with per-image predict() calls at the same seeds.
- */
-enum class BatchPath
-{
-    Batched,
-    Loop,
 };
 
 /**
@@ -148,31 +134,14 @@ struct PredictOptions
     double progressive_margin = kDefaultProgressiveMargin;
     /** Progressive floor on consumed stream cycles. */
     size_t progressive_min_bits = kDefaultProgressiveMinBits;
-    /** forwardBatch execution strategy; ignored by predict(). */
-    BatchPath batch_path = BatchPath::Batched;
     /**
-     * Cooperative cancellation for predict()/predictWith(): polled at
-     * segment boundaries (no effect when the stream runs as one
-     * segment, e.g. Reference mode). Batch calls take a per-image
-     * signal array instead — see forwardBatch. Must outlive the call.
+     * Cooperative cancellation for predictWith(): polled at segment
+     * boundaries (no effect when the stream runs as one segment —
+     * Reference mode, and Fused under the default whole-stream
+     * batch_stream_segment_words). Batch calls take a per-image signal
+     * array instead — see forwardBatch. Must outlive the call.
      */
     const CancelSignal *cancel = nullptr;
-};
-
-/**
- * Wall-clock nanoseconds spent in each phase of a forward pass,
- * accumulated across all worker threads (so with more than one thread
- * the phases sum to CPU time, not wall time; on one thread they are
- * the same). bench_throughput divides these into the per-phase
- * breakdown written to BENCH_throughput.json.
- */
-struct PhaseBreakdown
-{
-    std::atomic<uint64_t> encode_ns{0};        //!< SNG image encoding
-    std::atomic<uint64_t> inner_product_ns{0}; //!< XNOR + MUX/APC adders
-    std::atomic<uint64_t> pooling_ns{0};       //!< avg / max pooling
-    std::atomic<uint64_t> activation_ns{0};    //!< Stanh / Btanh
-    std::atomic<uint64_t> output_ns{0};        //!< binary output layer
 };
 
 /**
@@ -197,25 +166,39 @@ class ScNetwork
               uint64_t weight_seed = 0xC0FFEE);
 
     /**
-     * SC-domain forward pass + argmax for one image. When @p profile
-     * is non-null, per-phase wall time is accumulated into it; when
-     * @p info is non-null, the class scores and the effective stream
-     * length (== bitstream_len except under Progressive early exit)
-     * are reported there.
+     * SC-domain forward pass + argmax for one image. When @p info is
+     * non-null, the class scores and the effective stream length
+     * (== bitstream_len except under Progressive early exit) are
+     * reported there. Per-phase timing goes to the trace recorder's
+     * aggregate (obs/trace.h) while it is armed.
      */
     size_t predict(const nn::Tensor &image, uint64_t seed,
-                   PhaseBreakdown *profile = nullptr,
                    ForwardInfo *info = nullptr) const;
 
     /**
      * predict() with per-call engine/precision selection. Reads no
      * instance-wide mode state, so concurrent callers may use
-     * different options against one shared network.
+     * different options against one shared network. Fused and
+     * Progressive run the image as a micro-batch of one through
+     * forwardBatch's kernels, so it is bit-exact with image i of any
+     * forwardBatch call at the same seed.
      */
     size_t predictWith(const nn::Tensor &image, uint64_t seed,
                        const PredictOptions &opts,
-                       PhaseBreakdown *profile = nullptr,
                        ForwardInfo *info = nullptr) const;
+
+    /**
+     * predictWith() for callers written against the earlier signature
+     * with a per-call phase-profile argument, which is gone (phase
+     * timing lives in the trace aggregate); only a null profile was
+     * ever valid to pass through it.
+     */
+    size_t predictWith(const nn::Tensor &image, uint64_t seed,
+                       const PredictOptions &opts, std::nullptr_t,
+                       ForwardInfo *info) const
+    {
+        return predictWith(image, seed, opts, info);
+    }
 
     /**
      * Batched forward pass: predictions for every image, fanned out
@@ -255,8 +238,14 @@ class ScNetwork
      * (null entries = not cancellable): image i's signal is polled at
      * segment boundaries, and a cancelled image freezes in place and
      * leaves the active set exactly like a Progressive early exit —
-     * its batch-mates' streams and results are untouched. Overrides
-     * opts.cancel on the per-image fallback path.
+     * its batch-mates' streams and results are untouched. opts.cancel
+     * is ignored here.
+     *
+     * Fused and Progressive batches of any size, one image included,
+     * run the weight-stationary batch kernels. Reference runs the
+     * bit-serial oracle per image and Binary the deterministic
+     * XNOR-popcount backend per image, both fanned out across the
+     * pool.
      */
     std::vector<size_t>
     forwardBatch(const std::vector<nn::Tensor> &images,
@@ -267,20 +256,15 @@ class ScNetwork
                      nullptr) const;
 
     /**
-     * Whether forwardBatch would take the weight-stationary batch
-     * kernels for a micro-batch of @p n_images under @p opts: more
-     * than one image, opts.batch_path == BatchPath::Batched, and a
-     * non-Reference, non-Binary mode (the bit-serial oracle always
-     * runs the per-image loop; the binary backend is deterministic
-     * per image, so the parallel per-image loop already is its batch
-     * path). What the serving layer records per batch.
+     * Whether forwardBatch runs @p mode on the weight-stationary batch
+     * kernels: every mode except the bit-serial Reference oracle and
+     * the Binary backend (deterministic per image, so its parallel
+     * per-image loop already is its batch path). What the serving
+     * layer records per batch.
      */
-    static bool batchKernelEligible(const PredictOptions &opts,
-                                    size_t n_images)
+    static bool batchKernelEligible(EngineMode mode)
     {
-        return n_images > 1 && opts.batch_path == BatchPath::Batched &&
-               opts.mode != EngineMode::Reference &&
-               opts.mode != EngineMode::Binary;
+        return mode != EngineMode::Reference && mode != EngineMode::Binary;
     }
 
     /**
@@ -344,47 +328,49 @@ class ScNetwork
         return opts;
     }
 
-    /** A (c, h, w) grid of bit-streams packed into one arena. */
+    /** A (c, h, w) grid of bit-streams per image, packed site-major /
+     *  image-minor so the batch kernels address image b of a site as
+     *  the image-0 view plus b * strideWords() words. */
     struct StreamGrid
     {
         size_t c = 0, h = 0, w = 0;
-        sc::StreamArena arena;
+        sc::BatchStreamArena arena;
 
-        sc::BitstreamView at(size_t ci, size_t y, size_t x) const
+        sc::BitstreamView at(size_t ci, size_t y, size_t x,
+                             size_t b) const
         {
-            return arena.view((ci * h + y) * w + x);
+            return arena.view((ci * h + y) * w + x, b);
         }
     };
 
-    /** Conv layer weight streams, one arena slot per (filter, tap):
-     *  filter f's streams are slots [f*n, (f+1)*n), n = c_in*k*k + 1
-     *  (bias last). The Reference path reads the plain arena; the
-     *  fused path reads the filter-interleaved copy (same words, the
-     *  layout the filter-blocked kernels stream through). */
+    /** Conv layer weight streams in the filter-interleaved layout:
+     *  filter f, tap t of n_per_filter = c_in*k*k + 1 (bias last). */
     struct ConvWeightStreams
     {
         size_t c_in = 0, c_out = 0, k = 0;
         size_t n_per_filter = 0;
-        sc::StreamArena arena;
         sc::InterleavedWeightArena blocked;
-
-        sc::BitstreamView at(size_t filter, size_t i) const
-        {
-            return arena.view(filter * n_per_filter + i);
-        }
     };
 
-    /** FC layer weight streams, neuron o's streams at slots
-     *  [o*(n_in+1), ...] (bias last); interleaved copy as above. */
+    /** Hidden FC layer weight streams, neuron o, tap i < n_in + 1
+     *  (bias last), interleaved as above. */
     struct FcWeightStreams
     {
         size_t n_in = 0, n_out = 0;
-        sc::StreamArena arena;
         sc::InterleavedWeightArena blocked;
+    };
 
-        sc::BitstreamView at(size_t neuron, size_t i) const
+    /** Output layer weight streams, class o's at slots
+     *  [o*(n_in+1), (o+1)*(n_in+1)) (bias last), in the plain layout
+     *  the popcount-total kernel reads. */
+    struct OutputWeightStreams
+    {
+        size_t n_in = 0, n_out = 0;
+        sc::StreamArena arena;
+
+        sc::BitstreamView at(size_t o, size_t i) const
         {
-            return arena.view(neuron * (n_in + 1) + i);
+            return arena.view(o * (n_in + 1) + i);
         }
     };
 
@@ -398,152 +384,93 @@ class ScNetwork
 
     /** Per-forward carried state of a conv layer: the output grid plus
      *  per-pixel activation-FSM states, pooling-selector carry, and
-     *  (MUX layers) the per-site generators, all indexed positionally
-     *  so any thread partition reproduces the same streams. */
+     *  (MUX layers) the per-site generators, replicated per image at
+     *  index site * B + image and seeded from position, so any thread
+     *  partition reproduces the same streams and an image's state
+     *  freezes in place when it leaves the active set. */
     struct ConvRun
     {
         StreamGrid out;
-        std::vector<uint16_t> fsm;
-        std::vector<blocks::MaxPoolCarryState> pool;
-        std::vector<sc::Xoshiro256ss> sel_rng;  //!< per (group, position, window)
-        std::vector<sc::Xoshiro256ss> pool_rng; //!< per pixel (MUX avg)
-    };
-
-    /** Per-forward carried state of an FC layer. */
-    struct FcRun
-    {
-        sc::StreamArena out;
-        std::vector<uint16_t> fsm;
-        std::vector<sc::Xoshiro256ss> sel_rng; //!< per neuron group
-    };
-
-    /** Per-forward carried state of the binary output layer. */
-    struct OutputRun
-    {
-        std::vector<sc::ProductCountAccum> acc; //!< per class
-        size_t consumed = 0;                    //!< cycles accumulated
-    };
-
-    /** Batch-axis counterpart of StreamGrid: one (c, h, w) grid of
-     *  streams per image, packed site-major / image-minor so the batch
-     *  kernels address image b of a site as the image-0 view plus
-     *  b * strideWords() words. */
-    struct BatchStreamGrid
-    {
-        size_t c = 0, h = 0, w = 0;
-        sc::BatchStreamArena arena;
-
-        sc::BitstreamView at(size_t ci, size_t y, size_t x,
-                             size_t b) const
-        {
-            return arena.view((ci * h + y) * w + x, b);
-        }
-    };
-
-    /** Per-forward carried state of a conv layer on the batch path:
-     *  every per-site quantity of ConvRun replicated per image,
-     *  indexed site * B + image so an image's state freezes in place
-     *  when Progressive removes it from the active set. */
-    struct ConvBatchRun
-    {
-        BatchStreamGrid out;
         std::vector<uint16_t> fsm;                   //!< [pixel][image]
         std::vector<blocks::MaxPoolCarryState> pool; //!< [pixel][image]
         std::vector<sc::Xoshiro256ss> sel_rng;       //!< [site][image]
         std::vector<sc::Xoshiro256ss> pool_rng;      //!< [pixel][image]
     };
 
-    /** Per-forward carried state of an FC layer on the batch path. */
-    struct FcBatchRun
+    /** Per-forward carried state of an FC layer. */
+    struct FcRun
     {
         sc::BatchStreamArena out;
         std::vector<uint16_t> fsm;             //!< [neuron][image]
         std::vector<sc::Xoshiro256ss> sel_rng; //!< [group][image]
     };
 
-    /** Per-forward carried state of the output layer on the batch
-     *  path: accumulators per (class, image) plus per-image consumed
-     *  cycles (frozen at exit time under Progressive). */
-    struct OutputBatchRun
+    /** Per-forward carried state of the binary output layer:
+     *  accumulators per (class, image) plus per-image consumed cycles
+     *  (frozen when the image leaves the active set). */
+    struct OutputRun
     {
         std::vector<sc::ProductCountAccum> acc; //!< [class][image]
         std::vector<size_t> consumed;           //!< [image]
     };
 
-    StreamGrid encodeImage(const nn::Tensor &image, uint64_t seed,
-                           PhaseBreakdown *profile) const;
-
-    BatchStreamGrid encodeImagesBatch(const std::vector<nn::Tensor> &images,
-                                      const std::vector<uint64_t> &seeds,
-                                      ThreadPool *pool) const;
-
-    void initConvBatchRun(ConvBatchRun &run, const BatchStreamGrid &in,
-                          const ConvWeightStreams &weights,
-                          size_t layer_idx,
-                          const std::vector<uint64_t> &seeds) const;
-
-    void initFcBatchRun(FcBatchRun &run, const FcWeightStreams &weights,
-                        size_t layer_idx,
-                        const std::vector<uint64_t> &seeds) const;
-
-    void runConvLayerSegmentBatch(const BatchStreamGrid &in,
-                                  const ConvWeightStreams &weights,
-                                  size_t layer_idx, const SegRange &seg,
-                                  const std::vector<uint32_t> &active,
-                                  ConvBatchRun &run,
-                                  ThreadPool *pool) const;
-
-    void runFcLayerSegmentBatch(const std::vector<sc::BitstreamView> &in0,
-                                const std::vector<size_t> &in_strides,
-                                const FcWeightStreams &weights,
-                                size_t layer_idx, const SegRange &seg,
-                                const std::vector<uint32_t> &active,
-                                FcBatchRun &run, ThreadPool *pool) const;
-
-    void runOutputSegmentBatch(const std::vector<sc::BitstreamView> &in0,
-                               const std::vector<size_t> &in_strides,
-                               const FcWeightStreams &weights,
-                               const SegRange &seg,
-                               const std::vector<uint32_t> &active,
-                               OutputBatchRun &run) const;
-
-    /** The weight-stationary batch driver behind forwardBatch: one
-     *  shared segment loop advancing every active image through every
-     *  layer, with per-image Progressive early exit compacting the
-     *  active set mid-stream. Bit-exact with per-image predictWith at
-     *  seeds[i]. */
-    std::vector<size_t>
-    forwardBatchFused(const std::vector<nn::Tensor> &images,
-                      const std::vector<uint64_t> &seeds,
-                      const PredictOptions &opts, ThreadPool *pool,
-                      std::vector<ForwardInfo> *infos,
-                      const std::vector<const CancelSignal *> *cancels)
-        const;
+    /** SNG-encode every image into one grid, image b at seeds[b]. */
+    StreamGrid encodeImages(std::span<const nn::Tensor> images,
+                            const std::vector<uint64_t> &seeds,
+                            ThreadPool *pool) const;
 
     void initConvRun(ConvRun &run, const StreamGrid &in,
                      const ConvWeightStreams &weights, size_t layer_idx,
-                     uint64_t seed) const;
+                     const std::vector<uint64_t> &seeds) const;
 
     void initFcRun(FcRun &run, const FcWeightStreams &weights,
-                   size_t layer_idx, uint64_t seed) const;
+                   size_t layer_idx,
+                   const std::vector<uint64_t> &seeds) const;
 
-    void runConvLayerSegment(const StreamGrid &in,
-                             const ConvWeightStreams &weights,
-                             size_t layer_idx, const SegRange &seg,
-                             ConvRun &run, EngineMode mode,
-                             PhaseBreakdown *profile) const;
+    void runConvSegment(const StreamGrid &in,
+                        const ConvWeightStreams &weights, size_t layer_idx,
+                        const SegRange &seg,
+                        const std::vector<uint32_t> &active, ConvRun &run,
+                        ThreadPool *pool) const;
 
-    void runFcLayerSegment(const std::vector<sc::BitstreamView> &in,
-                           const FcWeightStreams &weights,
-                           size_t layer_idx, const SegRange &seg,
-                           FcRun &run, EngineMode mode,
-                           PhaseBreakdown *profile) const;
+    void runFcSegment(const std::vector<sc::BitstreamView> &in0,
+                      const std::vector<size_t> &in_strides,
+                      const FcWeightStreams &weights, size_t layer_idx,
+                      const SegRange &seg,
+                      const std::vector<uint32_t> &active, FcRun &run,
+                      ThreadPool *pool) const;
 
-    void runOutputSegment(const std::vector<sc::BitstreamView> &in,
-                          const FcWeightStreams &weights,
-                          const SegRange &seg, OutputRun &run,
-                          EngineMode mode,
-                          PhaseBreakdown *profile) const;
+    void runOutputSegment(const std::vector<sc::BitstreamView> &in0,
+                          const std::vector<size_t> &in_strides,
+                          const SegRange &seg,
+                          const std::vector<uint32_t> &active,
+                          OutputRun &run) const;
+
+    /** The weight-stationary driver behind Fused and Progressive: one
+     *  shared segment loop advancing every active image through every
+     *  layer, with per-image Progressive early exit and cancellation
+     *  compacting the active set mid-stream. */
+    std::vector<size_t>
+    forwardFused(std::span<const nn::Tensor> images,
+                 const std::vector<uint64_t> &seeds,
+                 const PredictOptions &opts, ThreadPool *pool,
+                 std::vector<ForwardInfo> *infos,
+                 const std::vector<const CancelSignal *> *cancels) const;
+
+    /** The bit-serial Reference oracle for one image: whole streams,
+     *  reference kernels and scalar FSM steppers, no segments and no
+     *  early exit. */
+    size_t predictReference(const nn::Tensor &image, uint64_t seed,
+                            ForwardInfo *info) const;
+
+    /** Reference conv stage @p layer_idx over image 0 of @p in. */
+    StreamGrid referenceConv(const StreamGrid &in, size_t layer_idx,
+                             uint64_t seed) const;
+
+    /** Reference fc stage @p layer_idx over the input views @p in. */
+    sc::BatchStreamArena
+    referenceFc(const std::vector<sc::BitstreamView> &in, size_t layer_idx,
+                uint64_t seed) const;
 
     /** The FEB kind hidden stage @p layer runs with (derived from its
      *  paper group and whether the stage pools). */
@@ -563,7 +490,7 @@ class ScNetwork
      *  (fcs_[l - convs_.size()]), then the binary output layer. */
     std::vector<ConvWeightStreams> convs_;
     std::vector<FcWeightStreams> fcs_;
-    FcWeightStreams out_;
+    OutputWeightStreams out_;
 
     std::vector<double> layer_gain_;
     std::vector<unsigned> layer_k_;

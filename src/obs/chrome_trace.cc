@@ -64,11 +64,11 @@ ArgLabels
 argLabels(SpanName name)
 {
     switch (name) {
-    case SpanName::Encode:
+    case SpanName::Encode: return {nullptr, "seg", nullptr};
     case SpanName::InnerProduct:
     case SpanName::Pooling:
     case SpanName::Activation:
-    case SpanName::Output: return {nullptr, "seg", nullptr};
+    case SpanName::Output: return {"stage", "seg", nullptr};
     case SpanName::EarlyExit: return {nullptr, "bits", "stage"};
     case SpanName::BatchCompact: return {nullptr, "kept", "before"};
     case SpanName::Request: return {"qos", "req", "bits"};

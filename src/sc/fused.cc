@@ -129,75 +129,6 @@ checkMultiOperands(const std::vector<BitstreamView> &xs,
 } // namespace
 
 void
-fusedProductCountsMulti(const std::vector<BitstreamView> &xs,
-                        const WeightBlockView &block, bool approximate,
-                        size_t begin_word, size_t end_word, uint16_t *out,
-                        size_t out_stride)
-{
-    checkMultiOperands(xs, block, begin_word, end_word);
-    const size_t len = block.length;
-    const size_t n = xs.size();
-    const size_t n_words = block.wordCount();
-    const size_t tail = len % 64;
-    const uint64_t tail_mask =
-        tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines =
-        approximate
-            ? std::min(ApproxParallelCounter::kLsbParityLines, n)
-            : 0;
-
-    size_t w = begin_word;
-    if (simd::enabled() && n >= 2)
-        w += simd::avx2ProductCountsMulti(xs.data(), block, parity_lines,
-                                          begin_word, end_word, out,
-                                          out_stride);
-
-    for (; w < end_word; ++w) {
-        const uint64_t word_mask =
-            (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        uint64_t planes[kFilterLanes][kMaxCarrySavePlanes] = {};
-        uint64_t lsbs[kFilterLanes] = {};
-        int used[kFilterLanes] = {};
-        const uint64_t *wrow = block.at(w, 0);
-        for (size_t i = 0; i < n; ++i, wrow += kFilterLanes) {
-            const uint64_t xw = xs[i].words[w];
-            for (size_t f = 0; f < block.lanes; ++f) {
-                uint64_t carry = ~(xw ^ wrow[f]) & word_mask;
-                if (i < parity_lines)
-                    lsbs[f] ^= carry;
-                int j = 0;
-                while (carry != 0) {
-                    SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    uint64_t t = planes[f][j] & carry;
-                    planes[f][j] ^= carry;
-                    carry = t;
-                    ++j;
-                }
-                if (j > used[f])
-                    used[f] = j;
-            }
-        }
-        const size_t base = (w - begin_word) * 64;
-        const size_t limit = std::min<size_t>(64, len - w * 64);
-        for (size_t f = 0; f < block.lanes; ++f) {
-            uint16_t *dst = out + f * out_stride + base;
-            for (size_t b = 0; b < limit; ++b) {
-                uint16_t c = 0;
-                for (int j = 0; j < used[f]; ++j)
-                    c |= static_cast<uint16_t>((planes[f][j] >> b) & 1)
-                         << j;
-                if (approximate)
-                    c = static_cast<uint16_t>(
-                        (c & ~uint16_t{1}) |
-                        static_cast<uint16_t>((lsbs[f] >> b) & 1));
-                dst[b] = c;
-            }
-        }
-    }
-}
-
-void
 fusedMuxProductMulti(const std::vector<BitstreamView> &xs,
                      const WeightBlockView &block,
                      const std::vector<uint16_t> &selects,
@@ -281,44 +212,19 @@ fusedProductCountTotalRange(const std::vector<BitstreamView> &xs,
     acc.approx_lsb_ones += approx_lsb_ones;
 }
 
+namespace {
+
+/** fusedProductCountsMultiBatch's word-outer loop over @p n_images
+ *  images; image j's counts land at out[j * image_stride]. */
 void
-fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
-                             const std::vector<size_t> &x_strides,
-                             const uint32_t *images, size_t n_images,
-                             const WeightBlockView &block, bool approximate,
-                             size_t begin_word, size_t end_word,
-                             uint16_t *out, size_t lane_stride,
-                             size_t image_stride)
+countsMultiBatchWordOuter(const std::vector<BitstreamView> &xs0,
+                          const std::vector<size_t> &x_strides,
+                          const uint32_t *images, size_t n_images,
+                          const WeightBlockView &block, bool approximate,
+                          size_t begin_word, size_t end_word,
+                          uint16_t *out, size_t lane_stride,
+                          size_t image_stride)
 {
-    checkMultiOperands(xs0, block, begin_word, end_word);
-    SCDCNN_ASSERT(x_strides.size() == xs0.size(),
-                  "stride count %zu != operand count %zu",
-                  x_strides.size(), xs0.size());
-
-    // Loop-order choice by weight working set. When the block's weight
-    // slice fits in L1, "stationary" is a cache property, not a loop
-    // order: iterating images in the outer loop keeps the slice
-    // resident across the whole micro-batch anyway, and each image's
-    // input-window words stay L1-hot through its word loop (the
-    // word-outer order instead touches every image's window per word —
-    // taps * images words of footprint, which thrashes L1 for small
-    // conv blocks). Large slices (FC arenas, wide conv blocks) stream
-    // from memory, so there the word-outer order below is what turns
-    // one weight read into n_images uses. Both orders produce
-    // bit-identical counts.
-    const size_t slice_bytes = block.taps * kFilterLanes *
-                               (end_word - begin_word) * sizeof(uint64_t);
-    if (slice_bytes <= kImageOuterSliceBytes) {
-        std::vector<BitstreamView> xs_img(xs0.size());
-        for (size_t j = 0; j < n_images; ++j) {
-            shiftViewsForImage(xs0, x_strides, images[j], xs_img);
-            fusedProductCountsMulti(xs_img, block, approximate,
-                                    begin_word, end_word,
-                                    out + j * image_stride, lane_stride);
-        }
-        return;
-    }
-
     const size_t len = block.length;
     const size_t n = xs0.size();
     const size_t n_words = block.wordCount();
@@ -392,115 +298,66 @@ fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
     }
 }
 
+
+} // namespace
+
+void
+fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
+                             const std::vector<size_t> &x_strides,
+                             const uint32_t *images, size_t n_images,
+                             const WeightBlockView &block, bool approximate,
+                             size_t begin_word, size_t end_word,
+                             uint16_t *out, size_t lane_stride,
+                             size_t image_stride)
+{
+    checkMultiOperands(xs0, block, begin_word, end_word);
+    SCDCNN_ASSERT(x_strides.size() == xs0.size(),
+                  "stride count %zu != operand count %zu",
+                  x_strides.size(), xs0.size());
+
+    // Loop-order choice by weight working set. When the block's weight
+    // slice fits in L1, "stationary" is a cache property, not a loop
+    // order: iterating images in the outer loop keeps the slice
+    // resident across the whole micro-batch anyway, and each image's
+    // input-window words stay L1-hot through its word loop (the
+    // word-outer order instead touches every image's window per word —
+    // taps * images words of footprint, which thrashes L1 for small
+    // conv blocks). Large slices (FC arenas, wide conv blocks) stream
+    // from memory, so there the word-outer order is what turns one
+    // weight read into n_images uses. Image-outer is the word-outer
+    // loop run one image at a time, so both orders address the
+    // operands in place and produce bit-identical counts.
+    const size_t slice_bytes = block.taps * kFilterLanes *
+                               (end_word - begin_word) * sizeof(uint64_t);
+    const size_t step =
+        slice_bytes <= kImageOuterSliceBytes ? 1 : n_images;
+    for (size_t j = 0; j < n_images; j += step)
+        countsMultiBatchWordOuter(xs0, x_strides, images + j,
+                                  std::min(step, n_images - j), block,
+                                  approximate, begin_word, end_word,
+                                  out + j * image_stride, lane_stride,
+                                  image_stride);
+}
+
 size_t
 planeCapForTaps(size_t taps)
 {
     return static_cast<size_t>(std::bit_width(taps));
 }
 
+namespace {
+
+/** fusedProductPlanesMultiBatch's word-outer loop over @p n_images
+ *  images; image j's planes land at out[j * image_stride]. */
 void
-fusedProductPlanesMulti(const std::vector<BitstreamView> &xs,
-                        const WeightBlockView &block, bool approximate,
-                        size_t begin_word, size_t end_word, uint64_t *out,
-                        size_t plane_cap, size_t lane_stride)
+planesMultiBatchWordOuter(const std::vector<BitstreamView> &xs0,
+                          const std::vector<size_t> &x_strides,
+                          const uint32_t *images, size_t n_images,
+                          const WeightBlockView &block, bool approximate,
+                          size_t begin_word, size_t end_word,
+                          uint64_t *out, size_t plane_cap,
+                          size_t lane_stride, size_t image_stride)
 {
-    checkMultiOperands(xs, block, begin_word, end_word);
-    SCDCNN_ASSERT(plane_cap >= planeCapForTaps(block.taps),
-                  "plane cap %zu below width %zu for %zu taps", plane_cap,
-                  planeCapForTaps(block.taps), block.taps);
-    const size_t len = block.length;
-    const size_t n = xs.size();
-    const size_t n_words = block.wordCount();
-    const size_t tail = len % 64;
-    const uint64_t tail_mask =
-        tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines =
-        approximate
-            ? std::min(ApproxParallelCounter::kLsbParityLines, n)
-            : 0;
-
-    size_t w = begin_word;
-    if (simd::enabled() && n >= 2)
-        w += simd::avx2ProductPlanesMulti(xs.data(), block, parity_lines,
-                                          begin_word, end_word, plane_cap,
-                                          out, lane_stride);
-
-    for (; w < end_word; ++w) {
-        const uint64_t word_mask =
-            (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        uint64_t planes[kFilterLanes][kMaxCarrySavePlanes] = {};
-        uint64_t lsbs[kFilterLanes] = {};
-        int used[kFilterLanes] = {};
-        const uint64_t *wrow = block.at(w, 0);
-        for (size_t i = 0; i < n; ++i, wrow += kFilterLanes) {
-            const uint64_t xw = xs[i].words[w];
-            for (size_t f = 0; f < block.lanes; ++f) {
-                uint64_t carry = ~(xw ^ wrow[f]) & word_mask;
-                if (i < parity_lines)
-                    lsbs[f] ^= carry;
-                int j = 0;
-                while (carry != 0) {
-                    SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    uint64_t t = planes[f][j] & carry;
-                    planes[f][j] ^= carry;
-                    carry = t;
-                    ++j;
-                }
-                if (j > used[f])
-                    used[f] = j;
-            }
-        }
-        // The ripple insertion leaves fully propagated (canonical)
-        // digit planes, so used never exceeds the cap.
-        const size_t word_base = (w - begin_word) * (plane_cap + 1);
-        for (size_t f = 0; f < block.lanes; ++f) {
-            SCDCNN_ASSERT(static_cast<size_t>(used[f]) <= plane_cap,
-                          "fold used %d planes, cap %zu", used[f],
-                          plane_cap);
-            uint64_t *dst = out + f * lane_stride + word_base;
-            size_t p = 0;
-            for (; p < static_cast<size_t>(used[f]); ++p)
-                dst[p] = planes[f][p];
-            for (; p < plane_cap; ++p)
-                dst[p] = 0;
-            dst[plane_cap] = lsbs[f];
-        }
-    }
-}
-
-void
-fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
-                             const std::vector<size_t> &x_strides,
-                             const uint32_t *images, size_t n_images,
-                             const WeightBlockView &block, bool approximate,
-                             size_t begin_word, size_t end_word,
-                             uint64_t *out, size_t plane_cap,
-                             size_t lane_stride, size_t image_stride)
-{
-    checkMultiOperands(xs0, block, begin_word, end_word);
-    SCDCNN_ASSERT(x_strides.size() == xs0.size(),
-                  "stride count %zu != operand count %zu",
-                  x_strides.size(), xs0.size());
-    SCDCNN_ASSERT(plane_cap >= planeCapForTaps(block.taps),
-                  "plane cap %zu below width %zu for %zu taps", plane_cap,
-                  planeCapForTaps(block.taps), block.taps);
-
-    // Same loop-order rule as fusedProductCountsMultiBatch.
-    const size_t slice_bytes = block.taps * kFilterLanes *
-                               (end_word - begin_word) * sizeof(uint64_t);
-    if (slice_bytes <= kImageOuterSliceBytes) {
-        std::vector<BitstreamView> xs_img(xs0.size());
-        for (size_t j = 0; j < n_images; ++j) {
-            shiftViewsForImage(xs0, x_strides, images[j], xs_img);
-            fusedProductPlanesMulti(xs_img, block, approximate,
-                                    begin_word, end_word,
-                                    out + j * image_stride, plane_cap,
-                                    lane_stride);
-        }
-        return;
-    }
-
     const size_t len = block.length;
     const size_t n = xs0.size();
     const size_t n_words = block.wordCount();
@@ -565,6 +422,39 @@ fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
             }
         }
     }
+}
+
+
+} // namespace
+
+void
+fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
+                             const std::vector<size_t> &x_strides,
+                             const uint32_t *images, size_t n_images,
+                             const WeightBlockView &block, bool approximate,
+                             size_t begin_word, size_t end_word,
+                             uint64_t *out, size_t plane_cap,
+                             size_t lane_stride, size_t image_stride)
+{
+    checkMultiOperands(xs0, block, begin_word, end_word);
+    SCDCNN_ASSERT(x_strides.size() == xs0.size(),
+                  "stride count %zu != operand count %zu",
+                  x_strides.size(), xs0.size());
+    SCDCNN_ASSERT(plane_cap >= planeCapForTaps(block.taps),
+                  "plane cap %zu below width %zu for %zu taps", plane_cap,
+                  planeCapForTaps(block.taps), block.taps);
+
+    // Same loop-order rule as fusedProductCountsMultiBatch.
+    const size_t slice_bytes = block.taps * kFilterLanes *
+                               (end_word - begin_word) * sizeof(uint64_t);
+    const size_t step =
+        slice_bytes <= kImageOuterSliceBytes ? 1 : n_images;
+    for (size_t j = 0; j < n_images; j += step)
+        planesMultiBatchWordOuter(xs0, x_strides, images + j,
+                                  std::min(step, n_images - j), block,
+                                  approximate, begin_word, end_word,
+                                  out + j * image_stride, plane_cap,
+                                  lane_stride, image_stride);
 }
 
 void

@@ -50,24 +50,6 @@ namespace sc {
 constexpr int kMaxCarrySavePlanes = 13;
 
 /**
- * Reusable per-thread scratch space for the fused kernels.
- *
- * The network engine keeps one workspace per worker chunk so the inner
- * loops run allocation-free after warm-up: buffers are resized on first
- * use and reused for every subsequent pixel/neuron.
- */
-struct FusedWorkspace
-{
-    std::vector<BitstreamView> xs;     //!< gathered input operands
-    std::vector<BitstreamView> ws;     //!< gathered weight operands
-    std::vector<uint16_t> selects;     //!< per-cycle MUX select indices
-    std::vector<std::vector<uint16_t>> counts; //!< per-window APC counts
-    std::vector<uint16_t> pooled;      //!< max-pooled count sequence
-    std::vector<int> steps;            //!< signed pooled counter steps
-    std::vector<Bitstream> streams;    //!< reusable product streams
-};
-
-/**
  * Draw one uniform select index per cycle into @p selects, resized to
  * @p length. Consumes exactly @p length nextBelow(n_inputs) draws — the
  * same sequence muxAdd() would consume — so a MUX built from these
@@ -131,19 +113,6 @@ uint64_t fusedProductCountTotal(const std::vector<BitstreamView> &xs,
 // engine feeds layer by layer.
 
 /**
- * Filter-blocked XNOR-multiply + parallel-counter column counts over a
- * word range: counts for lane f, cycle begin_word * 64 + i land at
- * out[f * out_stride + i]. Exactly block.lanes lanes are written;
- * out_stride must cover the ranged cycle count. Dispatches to
- * sc/simd.h's filter-lane AVX2 plane loop at runtime.
- */
-void fusedProductCountsMulti(const std::vector<BitstreamView> &xs,
-                             const WeightBlockView &block,
-                             bool approximate, size_t begin_word,
-                             size_t end_word, uint16_t *out,
-                             size_t out_stride);
-
-/**
  * Filter-blocked MUX inner product over a word range, all lanes driven
  * by one shared per-cycle select sequence (selects[i] belongs to cycle
  * begin_word * 64 + i). Product words for lane f land at
@@ -184,8 +153,9 @@ void fusedProductCountTotalRange(const std::vector<BitstreamView> &xs,
                                  size_t begin_word, size_t end_word,
                                  ProductCountAccum &acc);
 
-/** Bit-serial oracle for fusedProductCountsMulti (per-bit view /
- *  block get()). */
+/** Bit-serial filter-blocked column counts over one image (per-bit
+ *  view / block get()): the oracle of fusedProductCountsMultiBatch,
+ *  with the same single-image output layout. */
 void referenceProductCountsMulti(const std::vector<BitstreamView> &xs,
                                  const WeightBlockView &block,
                                  bool approximate, size_t begin_word,
@@ -281,11 +251,15 @@ void referenceBinaryPool4(const int32_t *windows, size_t n_pixels,
 constexpr size_t kImageOuterSliceBytes = 32 * 1024;
 
 /**
- * Batch-axis fusedProductCountsMulti: for every active position j
- * (image index images[j]), bit-exact with fusedProductCountsMulti over
+ * Filter-blocked XNOR-multiply + parallel-counter column counts over a
+ * word range for a micro-batch: for every active position j (image
+ * index images[j]), bit-exact with referenceProductCountsMulti over
  * the operand views {xs0[t].words + images[j] * x_strides[t],
  * block.length}. Counts for lane f, active position j, segment-local
- * cycle i land at out[j * image_stride + f * lane_stride + i].
+ * cycle i land at out[j * image_stride + f * lane_stride + i]; exactly
+ * block.lanes lanes are written and lane_stride must cover the ranged
+ * cycle count. With @p approximate the count LSB is the truncated
+ * parity of the first four product lines (ApproxParallelCounter).
  * Dispatches to sc/simd.h's batch plane loop at runtime; weight slices
  * under kImageOuterSliceBytes take the image-outer order (bit-identical
  * counts either way).
@@ -303,26 +277,18 @@ void fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
 size_t planeCapForTaps(size_t taps);
 
 /**
- * Plane-emitting fusedProductCountsMulti: the same carry-save fold,
- * but each word's column counts are stored as their @p plane_cap
- * canonical bit-planes plus the leading-lines parity word instead of
- * being transposed into per-cycle uint16 counts. Lane f, range-local
- * word q's planes land at out[f * lane_stride + q * (plane_cap + 1)];
- * the parity word at offset plane_cap within the group. plane_cap must
- * be >= planeCapForTaps(block.taps). The max-pool batch path consumes
- * this form: segment sums come from plane popcounts and only the
- * selected input is ever transposed (see
- * blocks::binaryMaxPoolPlanesBatch).
+ * Plane-emitting fusedProductCountsMultiBatch: the same carry-save
+ * fold, but each word's column counts are stored as their
+ * @p plane_cap canonical bit-planes plus the leading-lines parity word
+ * instead of being transposed into per-cycle uint16 counts. Image j,
+ * lane f, range-local word q's planes land at out[j * image_stride +
+ * f * lane_stride + q * (plane_cap + 1)]; the parity word at offset
+ * plane_cap within the group. plane_cap must be >=
+ * planeCapForTaps(block.taps). The max-pool path consumes this form:
+ * segment sums come from plane popcounts and only the selected input
+ * is ever transposed (see blocks::binaryMaxPoolPlanesBatch). Takes the
+ * same adaptive loop order.
  */
-void fusedProductPlanesMulti(const std::vector<BitstreamView> &xs,
-                             const WeightBlockView &block,
-                             bool approximate, size_t begin_word,
-                             size_t end_word, uint64_t *out,
-                             size_t plane_cap, size_t lane_stride);
-
-/** Batch-axis fusedProductPlanesMulti; operand addressing as in
- *  fusedProductCountsMultiBatch, image j's planes at
- *  out[j * image_stride]. Takes the same adaptive loop order. */
 void fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                                   const std::vector<size_t> &x_strides,
                                   const uint32_t *images, size_t n_images,
@@ -344,8 +310,8 @@ void referenceProductCountsMultiBatch(
 /**
  * Shift an image-0 operand window to image @p image: view t of @p out
  * is {xs0[t].words + image * x_strides[t], xs0[t].length}. The MUX and
- * output-layer batch paths use this to drive the per-image kernels
- * from one gathered window.
+ * output layers use this to drive their single-image kernels from one
+ * gathered window.
  */
 void shiftViewsForImage(const std::vector<BitstreamView> &xs0,
                         const std::vector<size_t> &x_strides, size_t image,
@@ -355,8 +321,8 @@ void shiftViewsForImage(const std::vector<BitstreamView> &xs0,
  * Reusable per-thread scratch for the batch-axis engine path: one
  * instance per worker chunk holds the shared image-0 operand window,
  * the per-tap strides, the batch-major count/product blocks
- * ([window][image][lane][cycle]), per-image pooling buffers, and the
- * pointer tables the interleaved FSM transforms consume.
+ * ([window][image][lane][cycle]), per-pixel pooling buffers, and the
+ * pointer tables the pooling and interleaved FSM transforms consume.
  */
 struct BatchFusedWorkspace
 {
@@ -366,9 +332,9 @@ struct BatchFusedWorkspace
     std::vector<uint16_t> selects;     //!< one image's MUX selects
     std::vector<uint16_t> counts;      //!< [window][image][lane][cycle]
     std::vector<uint64_t> products;    //!< [window][image][lane][word]
-    std::vector<uint16_t> pooled;      //!< [image][cycle] pooled counts
-    std::vector<int> steps;            //!< [image][cycle] signed steps
-    std::vector<uint64_t> pooled_words; //!< [image][word] pooled streams
+    std::vector<uint16_t> pooled;      //!< [pixel][cycle] pooled counts
+    std::vector<int> steps;            //!< [pixel][cycle] signed steps
+    std::vector<uint64_t> pooled_words; //!< [pixel][word] pooled streams
     std::vector<const uint16_t *> count_ptrs; //!< FSM batch inputs
     std::vector<const uint64_t *> word_ptrs;  //!< FSM batch inputs
     std::vector<const int *> step_ptrs;       //!< FSM batch inputs

@@ -326,206 +326,6 @@ avx2ProductCountBlocks(const BitstreamView *xs, const BitstreamView *ws,
 }
 
 __attribute__((target("avx2"))) size_t
-avx2ProductCountsMulti(const BitstreamView *xs, const WeightBlockView &block,
-                       size_t parity_lines, size_t begin_word,
-                       size_t end_word, uint16_t *out, size_t out_stride)
-{
-    if (!enabled())
-        return 0;
-    // Full words only: the stream's partial tail word (if the range
-    // reaches it) stays with the scalar path, so no tail masking is
-    // needed here.
-    const size_t full_end =
-        std::min(end_word, block.length / 64);
-    if (full_end <= begin_word)
-        return 0;
-    const size_t n = block.taps;
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
-
-    for (size_t w = begin_word; w < full_end; ++w) {
-        // One plane set serves the whole filter block: 64-bit lane f of
-        // each plane vector holds filter f's carry-save plane for this
-        // word. Input words broadcast once; the block's weight words
-        // for (w, tap) are one contiguous vector load. Lines fold
-        // through the fixed-schedule compressor tree 16 at a time; the
-        // leftovers take the serial plane insertion.
-        __m256i planes[kMaxCarrySavePlanes];
-        __m256i lsb = _mm256_setzero_si256();
-        int used = 0;
-        const uint64_t *wrow = block.at(w, 0);
-        __m256i s[8], c[8];
-        size_t i = 0;
-        for (; i + 16 <= n; i += 16, wrow += 16 * kFilterLanes) {
-            // Product pairs feed the tree's first half-adder layer as
-            // they are generated; only two lines are live at a time.
-            for (int r = 0; r < 8; ++r) {
-                const size_t ta = i + 2 * static_cast<size_t>(r);
-                const __m256i xa = _mm256_set1_epi64x(
-                    static_cast<long long>(xs[ta].words[w]));
-                const __m256i wa = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        wrow +
-                        2 * static_cast<size_t>(r) * kFilterLanes));
-                const __m256i pa = _mm256_xor_si256(
-                    _mm256_xor_si256(xa, wa), all_ones);
-                const __m256i xb = _mm256_set1_epi64x(
-                    static_cast<long long>(xs[ta + 1].words[w]));
-                const __m256i wb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        wrow +
-                        (2 * static_cast<size_t>(r) + 1) * kFilterLanes));
-                const __m256i pb = _mm256_xor_si256(
-                    _mm256_xor_si256(xb, wb), all_ones);
-                if (ta < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, pa);
-                if (ta + 1 < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, pb);
-                s[r] = _mm256_xor_si256(pa, pb);
-                c[r] = _mm256_and_si256(pa, pb);
-            }
-            __m256i folded[5];
-            reduce16Pairs(s, c, folded);
-            if (used == 0) {
-                for (int j = 0; j < 5; ++j)
-                    planes[j] = folded[j];
-                used = 5;
-            } else {
-                __m256i carry = addPlanesK(planes, folded, 5);
-                int j = 5;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j], carry);
-                    planes[j] = _mm256_xor_si256(planes[j], carry);
-                    carry = t;
-                    ++j;
-                }
-            }
-        }
-        // Zero-padded final block: once a full block has folded
-        // (used >= 5, so the accumulator holds 5+ planes and taps >= 16
-        // keeps the plane cap at 5+), a tail of 6 or more lines runs
-        // through the same fixed-schedule tree with zero lines in the
-        // missing slots. Zero lines add nothing to any column count,
-        // so the fold is bit-identical to the serial insertion it
-        // replaces — at tree ILP instead of a ripple walk per line.
-        if (n >= 16 && n - i >= 6 && parity_lines <= i) {
-            for (int r = 0; r < 8; ++r) {
-                const size_t ta = i + 2 * static_cast<size_t>(r);
-                __m256i pa = _mm256_setzero_si256();
-                __m256i pb = _mm256_setzero_si256();
-                if (ta < n) {
-                    const __m256i xa = _mm256_set1_epi64x(
-                        static_cast<long long>(xs[ta].words[w]));
-                    const __m256i wa = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (ta - i) * kFilterLanes));
-                    pa = _mm256_xor_si256(_mm256_xor_si256(xa, wa),
-                                          all_ones);
-                }
-                if (ta + 1 < n) {
-                    const __m256i xb = _mm256_set1_epi64x(
-                        static_cast<long long>(xs[ta + 1].words[w]));
-                    const __m256i wb = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (ta + 1 - i) * kFilterLanes));
-                    pb = _mm256_xor_si256(_mm256_xor_si256(xb, wb),
-                                          all_ones);
-                }
-                s[r] = _mm256_xor_si256(pa, pb);
-                c[r] = _mm256_and_si256(pa, pb);
-            }
-            __m256i folded[5];
-            reduce16Pairs(s, c, folded);
-            __m256i carry = addPlanesK(planes, folded, 5);
-            int j = 5;
-            while (!_mm256_testz_si256(carry, carry)) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                if (j == used) {
-                    planes[used++] = carry;
-                    break;
-                }
-                const __m256i t = _mm256_and_si256(planes[j], carry);
-                planes[j] = _mm256_xor_si256(planes[j], carry);
-                carry = t;
-                ++j;
-            }
-            i = n;
-        }
-        for (; i < n; ++i, wrow += kFilterLanes) {
-            const __m256i xv =
-                _mm256_set1_epi64x(static_cast<long long>(xs[i].words[w]));
-            const __m256i wv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(wrow));
-            __m256i carry = _mm256_xor_si256(_mm256_xor_si256(xv, wv),
-                                             all_ones);
-            if (i < parity_lines)
-                lsb = _mm256_xor_si256(lsb, carry);
-            int j = 0;
-            while (!_mm256_testz_si256(carry, carry)) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                if (j == used) {
-                    planes[used++] = carry;
-                    break;
-                }
-                const __m256i t = _mm256_and_si256(planes[j], carry);
-                planes[j] = _mm256_xor_si256(planes[j], carry);
-                carry = t;
-                ++j;
-            }
-        }
-
-        alignas(32) uint64_t pw[kMaxCarrySavePlanes][4];
-        for (int j = 0; j < used; ++j)
-            _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j]),
-                               planes[j]);
-        alignas(32) uint64_t lw[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lw), lsb);
-
-        // Per real lane (filter), transpose that lane's plane bits into
-        // 64 per-cycle counts, 16 at a time.
-        const size_t out_base = (w - begin_word) * 64;
-        for (size_t f = 0; f < block.lanes; ++f) {
-            for (int g = 0; g < 4; ++g) {
-                __m256i acc = _mm256_setzero_si256();
-                for (int j = 0; j < used; ++j) {
-                    const auto bits =
-                        static_cast<uint16_t>(pw[j][f] >> (g * 16));
-                    acc = _mm256_or_si256(
-                        acc, spreadBits16(bits, lane_bit,
-                                          static_cast<short>(1 << j)));
-                }
-                if (parity_lines > 0) {
-                    const auto bits =
-                        static_cast<uint16_t>(lw[f] >> (g * 16));
-                    acc = _mm256_or_si256(
-                        _mm256_and_si256(
-                            acc, _mm256_set1_epi16(
-                                     static_cast<short>(~1))),
-                        spreadBits16(bits, lane_bit, 1));
-                }
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(
-                        out + f * out_stride + out_base +
-                        static_cast<size_t>(g) * 16),
-                    acc);
-            }
-        }
-    }
-    return full_end - begin_word;
-}
-
-__attribute__((target("avx2"))) size_t
 avx2ProductCountsMultiBatch(const BitstreamView *xs0,
                             const size_t *x_strides, const uint32_t *images,
                             size_t n_images, const WeightBlockView &block,
@@ -535,8 +335,9 @@ avx2ProductCountsMultiBatch(const BitstreamView *xs0,
 {
     if (!enabled())
         return 0;
-    // Full words only, as in avx2ProductCountsMulti: the partial tail
-    // word stays with the scalar caller.
+    // Full words only: the stream's partial tail word (if the range
+    // reaches it) stays with the scalar caller, so no tail masking is
+    // needed here.
     const size_t full_end = std::min(end_word, block.length / 64);
     if (full_end <= begin_word)
         return 0;
@@ -550,7 +351,14 @@ avx2ProductCountsMultiBatch(const BitstreamView *xs0,
     // Weight-stationary loop order: word outer, image inner. The
     // weight row for word w (taps x kFilterLanes contiguous words) is
     // streamed once and re-read from cache for every image in the
-    // micro-batch instead of re-fetched from memory per image.
+    // micro-batch instead of re-fetched from memory per image. Per
+    // (word, image), one plane set serves the whole filter block:
+    // 64-bit lane f of each plane vector holds filter f's carry-save
+    // plane. Input words broadcast once; the block's weight words for
+    // (w, tap) are one contiguous vector load. Lines fold through the
+    // fixed-schedule compressor tree 16 at a time (product pairs feed
+    // the tree's first half-adder layer as they are generated); the
+    // leftovers take the serial plane insertion.
     for (size_t w = begin_word; w < full_end; ++w) {
         const uint64_t *wrow0 = block.at(w, 0);
         const size_t out_base = (w - begin_word) * 64;
@@ -615,7 +423,14 @@ avx2ProductCountsMultiBatch(const BitstreamView *xs0,
                     }
                 }
             }
-            // Zero-padded final block (see avx2ProductCountsMulti).
+            // Zero-padded final block: once a full block has folded
+            // (used >= 5, so the accumulator holds 5+ planes and taps
+            // >= 16 keeps the plane cap at 5+), a tail of 6 or more
+            // lines runs through the same fixed-schedule tree with zero
+            // lines in the missing slots. Zero lines add nothing to any
+            // column count, so the fold is bit-identical to the serial
+            // insertion it replaces — at tree ILP instead of a ripple
+            // walk per line.
             if (n >= 16 && n - i >= 6 && parity_lines <= i) {
                 for (int r = 0; r < 8; ++r) {
                     const size_t ta = i + 2 * static_cast<size_t>(r);
@@ -729,170 +544,6 @@ avx2ProductCountsMultiBatch(const BitstreamView *xs0,
 }
 
 __attribute__((target("avx2"))) size_t
-avx2ProductPlanesMulti(const BitstreamView *xs, const WeightBlockView &block,
-                       size_t parity_lines, size_t begin_word,
-                       size_t end_word, size_t plane_cap, uint64_t *out,
-                       size_t lane_stride)
-{
-    if (!enabled())
-        return 0;
-    const size_t full_end = std::min(end_word, block.length / 64);
-    if (full_end <= begin_word)
-        return 0;
-    const size_t n = block.taps;
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-
-    for (size_t w = begin_word; w < full_end; ++w) {
-        // The fold of avx2ProductCountsMulti, verbatim; only the tail
-        // differs — planes are stored, not transposed.
-        __m256i planes[kMaxCarrySavePlanes];
-        __m256i lsb = _mm256_setzero_si256();
-        int used = 0;
-        const uint64_t *wrow = block.at(w, 0);
-        __m256i s[8], c[8];
-        size_t i = 0;
-        for (; i + 16 <= n; i += 16, wrow += 16 * kFilterLanes) {
-            for (int r = 0; r < 8; ++r) {
-                const size_t ta = i + 2 * static_cast<size_t>(r);
-                const __m256i xa = _mm256_set1_epi64x(
-                    static_cast<long long>(xs[ta].words[w]));
-                const __m256i wa = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        wrow +
-                        2 * static_cast<size_t>(r) * kFilterLanes));
-                const __m256i pa = _mm256_xor_si256(
-                    _mm256_xor_si256(xa, wa), all_ones);
-                const __m256i xb = _mm256_set1_epi64x(
-                    static_cast<long long>(xs[ta + 1].words[w]));
-                const __m256i wb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        wrow +
-                        (2 * static_cast<size_t>(r) + 1) * kFilterLanes));
-                const __m256i pb = _mm256_xor_si256(
-                    _mm256_xor_si256(xb, wb), all_ones);
-                if (ta < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, pa);
-                if (ta + 1 < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, pb);
-                s[r] = _mm256_xor_si256(pa, pb);
-                c[r] = _mm256_and_si256(pa, pb);
-            }
-            __m256i folded[5];
-            reduce16Pairs(s, c, folded);
-            if (used == 0) {
-                for (int j = 0; j < 5; ++j)
-                    planes[j] = folded[j];
-                used = 5;
-            } else {
-                __m256i carry = addPlanesK(planes, folded, 5);
-                int j = 5;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j], carry);
-                    planes[j] = _mm256_xor_si256(planes[j], carry);
-                    carry = t;
-                    ++j;
-                }
-            }
-        }
-        // Zero-padded final block (see avx2ProductCountsMulti).
-        if (n >= 16 && n - i >= 6 && parity_lines <= i) {
-            for (int r = 0; r < 8; ++r) {
-                const size_t ta = i + 2 * static_cast<size_t>(r);
-                __m256i pa = _mm256_setzero_si256();
-                __m256i pb = _mm256_setzero_si256();
-                if (ta < n) {
-                    const __m256i xa = _mm256_set1_epi64x(
-                        static_cast<long long>(xs[ta].words[w]));
-                    const __m256i wa = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (ta - i) * kFilterLanes));
-                    pa = _mm256_xor_si256(_mm256_xor_si256(xa, wa),
-                                          all_ones);
-                }
-                if (ta + 1 < n) {
-                    const __m256i xb = _mm256_set1_epi64x(
-                        static_cast<long long>(xs[ta + 1].words[w]));
-                    const __m256i wb = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (ta + 1 - i) * kFilterLanes));
-                    pb = _mm256_xor_si256(_mm256_xor_si256(xb, wb),
-                                          all_ones);
-                }
-                s[r] = _mm256_xor_si256(pa, pb);
-                c[r] = _mm256_and_si256(pa, pb);
-            }
-            __m256i folded[5];
-            reduce16Pairs(s, c, folded);
-            __m256i carry = addPlanesK(planes, folded, 5);
-            int j = 5;
-            while (!_mm256_testz_si256(carry, carry)) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                if (j == used) {
-                    planes[used++] = carry;
-                    break;
-                }
-                const __m256i t = _mm256_and_si256(planes[j], carry);
-                planes[j] = _mm256_xor_si256(planes[j], carry);
-                carry = t;
-                ++j;
-            }
-            i = n;
-        }
-        for (; i < n; ++i, wrow += kFilterLanes) {
-            const __m256i xv =
-                _mm256_set1_epi64x(static_cast<long long>(xs[i].words[w]));
-            const __m256i wv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(wrow));
-            __m256i carry = _mm256_xor_si256(_mm256_xor_si256(xv, wv),
-                                             all_ones);
-            if (i < parity_lines)
-                lsb = _mm256_xor_si256(lsb, carry);
-            int j = 0;
-            while (!_mm256_testz_si256(carry, carry)) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                if (j == used) {
-                    planes[used++] = carry;
-                    break;
-                }
-                const __m256i t = _mm256_and_si256(planes[j], carry);
-                planes[j] = _mm256_xor_si256(planes[j], carry);
-                carry = t;
-                ++j;
-            }
-        }
-        SCDCNN_ASSERT(static_cast<size_t>(used) <= plane_cap,
-                      "fold used %d planes, cap %zu", used, plane_cap);
-
-        alignas(32) uint64_t pw[kMaxCarrySavePlanes][4];
-        for (int j = 0; j < used; ++j)
-            _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j]),
-                               planes[j]);
-        alignas(32) uint64_t lw[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lw), lsb);
-
-        const size_t word_base = (w - begin_word) * (plane_cap + 1);
-        for (size_t f = 0; f < block.lanes; ++f) {
-            uint64_t *dst = out + f * lane_stride + word_base;
-            size_t p = 0;
-            for (; p < static_cast<size_t>(used); ++p)
-                dst[p] = pw[p][f];
-            for (; p < plane_cap; ++p)
-                dst[p] = 0;
-            dst[plane_cap] = lw[f];
-        }
-    }
-    return full_end - begin_word;
-}
-
-__attribute__((target("avx2"))) size_t
 avx2ProductPlanesMultiBatch(const BitstreamView *xs0,
                             const size_t *x_strides, const uint32_t *images,
                             size_t n_images, const WeightBlockView &block,
@@ -975,7 +626,8 @@ avx2ProductPlanesMultiBatch(const BitstreamView *xs0,
                     }
                 }
             }
-            // Zero-padded final block (see avx2ProductCountsMulti).
+            // Zero-padded final block (see
+            // avx2ProductCountsMultiBatch).
             if (n >= 16 && n - i >= 6 && parity_lines <= i) {
                 for (int r = 0; r < 8; ++r) {
                     const size_t ta = i + 2 * static_cast<size_t>(r);
@@ -1514,24 +1166,10 @@ avx2ProductCountBlocks(const BitstreamView *, const BitstreamView *,
 }
 
 size_t
-avx2ProductCountsMulti(const BitstreamView *, const WeightBlockView &,
-                       size_t, size_t, size_t, uint16_t *, size_t)
-{
-    return 0;
-}
-
-size_t
 avx2ProductCountsMultiBatch(const BitstreamView *, const size_t *,
                             const uint32_t *, size_t,
                             const WeightBlockView &, size_t, size_t,
                             size_t, uint16_t *, size_t, size_t)
-{
-    return 0;
-}
-
-size_t
-avx2ProductPlanesMulti(const BitstreamView *, const WeightBlockView &,
-                       size_t, size_t, size_t, size_t, uint64_t *, size_t)
 {
     return 0;
 }

@@ -64,36 +64,21 @@ size_t avx2ProductCountBlocks(const BitstreamView *xs,
                               uint16_t *out);
 
 /**
- * Filter-blocked carry-save column counts: for every full word of
- * [@p begin_word, @p end_word) (a word is full when all 64 of its
- * cycles lie inside block.length), XNOR each input word of @p xs
- * against the kFilterLanes weight words of @p block with the filters
- * in the 64-bit vector lanes, so one carry-save plane set serves the
- * whole filter block and each input word is loaded once per block.
- * Counts for lane f, cycle begin_word * 64 + i land at
- * out[f * out_stride + i]; only block.lanes lanes are written. The
- * approximate-counter LSB is fused in when @p parity_lines > 0.
- *
- * @return the number of words processed from begin_word (the scalar
- *         caller continues from there); 0 when AVX2 is not enabled.
- */
-size_t avx2ProductCountsMulti(const BitstreamView *xs,
-                              const WeightBlockView &block,
-                              size_t parity_lines, size_t begin_word,
-                              size_t end_word, uint16_t *out,
-                              size_t out_stride);
-
-/**
- * Batch-axis (weight-stationary) variant of avx2ProductCountsMulti:
- * for every full word of [@p begin_word, @p end_word), the block's
- * weight row (taps x kFilterLanes words) is loaded once and folded
- * against the corresponding input-window words of every active image
- * before advancing, so the weight slice stays cache-resident across
- * the micro-batch. Image j's operand for tap i is the image-0 view
- * shifted by whole words: xs0[i].words + images[j] * x_strides[i]
- * (stride 0 shares a line, e.g. the bias stream). Counts for active
- * position j, lane f, range-local cycle i land at
- * out[j * image_stride + f * lane_stride + i].
+ * Filter-blocked, batch-axis (weight-stationary) carry-save column
+ * counts: for every full word of [@p begin_word, @p end_word) (a word
+ * is full when all 64 of its cycles lie inside block.length), the
+ * block's weight row (taps x kFilterLanes words) is loaded once and
+ * folded against the corresponding input-window words of every active
+ * image before advancing, so the weight slice stays cache-resident
+ * across the micro-batch. Each input word is XNORed against the
+ * kFilterLanes weight words with the filters in the 64-bit vector
+ * lanes, so one carry-save plane set serves the whole filter block.
+ * Image j's operand for tap i is the image-0 view shifted by whole
+ * words: xs0[i].words + images[j] * x_strides[i] (stride 0 shares a
+ * line, e.g. the bias stream). Counts for active position j, lane f,
+ * range-local cycle i land at out[j * image_stride + f * lane_stride
+ * + i]; only block.lanes lanes are written. The approximate-counter
+ * LSB is fused in when @p parity_lines > 0.
  *
  * @return the number of words processed from begin_word (the scalar
  *         caller continues from there); 0 when AVX2 is not enabled.
@@ -109,30 +94,22 @@ size_t avx2ProductCountsMultiBatch(const BitstreamView *xs0,
                                    size_t image_stride);
 
 /**
- * Plane-emitting variant of avx2ProductCountsMulti: identical
+ * Plane-emitting variant of avx2ProductCountsMultiBatch: identical
  * carry-save fold, but the per-word result is stored as the canonical
  * bit-planes of the column counts instead of being transposed into
- * per-cycle uint16 counts. For lane f, range-local word q, the
- * @p plane_cap planes land at out[f * lane_stride + q * (plane_cap+1)
- * + p] (planes above the fold's high plane are zeroed) and the
- * leading-lines parity word at index plane_cap. Skipping the transpose
- * matters when only segment sums of most lanes' counts are consumed
- * (the Figure 8 selector's losing inputs): sums follow from plane
- * popcounts, and per-cycle counts can be recovered exactly for the one
- * selected input via avx2SpreadPlanesWord.
+ * per-cycle uint16 counts. For image j, lane f, range-local word q,
+ * the @p plane_cap planes land at out[j * image_stride + f *
+ * lane_stride + q * (plane_cap+1) + p] (planes above the fold's high
+ * plane are zeroed) and the leading-lines parity word at index
+ * plane_cap. Skipping the transpose matters when only segment sums of
+ * most lanes' counts are consumed (the Figure 8 selector's losing
+ * inputs): sums follow from plane popcounts, and per-cycle counts can
+ * be recovered exactly for the one selected input via
+ * avx2SpreadPlanesWord.
  *
  * @return the number of words processed from begin_word (the scalar
  *         caller continues from there); 0 when AVX2 is not enabled.
  */
-size_t avx2ProductPlanesMulti(const BitstreamView *xs,
-                              const WeightBlockView &block,
-                              size_t parity_lines, size_t begin_word,
-                              size_t end_word, size_t plane_cap,
-                              uint64_t *out, size_t lane_stride);
-
-/** Batch-axis (weight-stationary) twin of avx2ProductPlanesMulti; see
- *  avx2ProductCountsMultiBatch for the operand/stride contract. Image
- *  j's planes start at out[j * image_stride]. */
 size_t avx2ProductPlanesMultiBatch(const BitstreamView *xs0,
                                    const size_t *x_strides,
                                    const uint32_t *images,

@@ -168,6 +168,8 @@ ServerMetrics::snapshot() const
         rejected_queue_full_.load(std::memory_order_relaxed);
     s.rejected_shutdown =
         rejected_shutdown_.load(std::memory_order_relaxed);
+    s.rejected_invalid_input =
+        rejected_invalid_input_.load(std::memory_order_relaxed);
     s.shed = shed_.load(std::memory_order_relaxed);
     s.cancelled = cancelled_.load(std::memory_order_relaxed);
     s.max_queue_depth =
@@ -282,10 +284,12 @@ MetricsSnapshot::toJson() const
             static_cast<unsigned long long>(batches));
     appendf(out,
             "\"rejected_queue_full\": %llu, "
-            "\"rejected_shutdown\": %llu, \"shed\": %llu, "
+            "\"rejected_shutdown\": %llu, "
+            "\"rejected_invalid_input\": %llu, \"shed\": %llu, "
             "\"cancelled\": %llu, \"max_queue_depth\": %llu, ",
             static_cast<unsigned long long>(rejected_queue_full),
             static_cast<unsigned long long>(rejected_shutdown),
+            static_cast<unsigned long long>(rejected_invalid_input),
             static_cast<unsigned long long>(shed),
             static_cast<unsigned long long>(cancelled),
             static_cast<unsigned long long>(max_queue_depth));

@@ -78,11 +78,12 @@ struct MetricsSnapshot
     uint64_t rejected = 0;            //!< admission refusals, total
     uint64_t rejected_queue_full = 0; //!< class queue at capacity
     uint64_t rejected_shutdown = 0;   //!< submitted after shutdown
+    uint64_t rejected_invalid_input = 0; //!< malformed payload
     uint64_t shed = 0;      //!< dropped from queue (deadline doomed)
     uint64_t cancelled = 0; //!< stopped in flight (token/deadline)
     uint64_t batches = 0;
     /** micro-batches executed by the weight-stationary batch kernels
-     *  vs the per-image loop (size-1, Reference and Binary batches). */
+     *  vs the per-image loop (Reference and Binary batches). */
     uint64_t batch_kernel_batches = 0;
     uint64_t loop_batches = 0;
     /** executed micro-batches per engine mode, indexed like
@@ -138,7 +139,7 @@ class ServerMetrics
   public:
     void recordSubmit() { submitted_.fetch_add(1); }
 
-    /** One admission refusal (QueueFull or ShutDown). */
+    /** One admission refusal (QueueFull, ShutDown or InvalidInput). */
     void recordReject(ServeErrorCode code)
     {
         rejected_.fetch_add(1);
@@ -146,6 +147,8 @@ class ServerMetrics
             rejected_queue_full_.fetch_add(1);
         else if (code == ServeErrorCode::ShutDown)
             rejected_shutdown_.fetch_add(1);
+        else if (code == ServeErrorCode::InvalidInput)
+            rejected_invalid_input_.fetch_add(1);
     }
 
     /** One queued request dropped by the doomed-deadline sweep. */
@@ -160,7 +163,8 @@ class ServerMetrics
                      CloseReason reason);
 
     /** One executed micro-batch, after the forward pass: whether it
-     *  took the weight-stationary batch kernels or the per-image loop,
+     *  took the weight-stationary batch kernels or the per-image loop
+     *  (Reference and Binary),
      *  the engine mode its QoS policy selected, and the spread
      *  (max - min) of the images' consumed effective bits — the
      *  dispersion Progressive early exit introduces. */
@@ -181,6 +185,7 @@ class ServerMetrics
     std::atomic<uint64_t> rejected_{0};
     std::atomic<uint64_t> rejected_queue_full_{0};
     std::atomic<uint64_t> rejected_shutdown_{0};
+    std::atomic<uint64_t> rejected_invalid_input_{0};
     std::atomic<uint64_t> shed_{0};
     std::atomic<uint64_t> cancelled_{0};
     std::atomic<uint64_t> max_queue_depth_{0};

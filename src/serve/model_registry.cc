@@ -229,8 +229,9 @@ ModelRegistry::feedBreaker(Entry &e, const RequestOutcome &outcome)
 {
     const uint64_t trips_before = e.breaker->trips();
     // Health signal: completions count for the model, sheds and
-    // injected execution faults against it. Admission refusals and
-    // cancellations are registry/caller behaviour, not model health —
+    // injected execution faults against it. Admission refusals,
+    // malformed payloads and cancellations are registry/caller
+    // behaviour, not model health —
     // while a probe is outstanding they abandon it (the probe died of
     // an unrelated cause), otherwise they are neutral.
     const bool probing =
@@ -252,6 +253,7 @@ ModelRegistry::feedBreaker(Entry &e, const RequestOutcome &outcome)
     case ServeErrorCode::QueueFull:
     case ServeErrorCode::ShutDown:
     case ServeErrorCode::Cancelled:
+    case ServeErrorCode::InvalidInput:
     default:
         if (probing)
             e.breaker->onProbeAbandoned();

@@ -59,12 +59,15 @@ enum class ServeErrorCode : uint8_t
     Cancelled = 3, //!< cooperative cancellation stopped the request
     ModelUnavailable = 4, //!< registry: model quarantined/loading/retired
     UnknownModel = 5,     //!< registry: no model under that id
+    /** the payload cannot be served: its shape differs from the
+     *  model's input, or a pixel is NaN, infinite or outside [0, 1] */
+    InvalidInput = 6,
 };
 
 /** Number of serve error codes (array sizing). */
-constexpr size_t kServeErrorCodes = 6;
+constexpr size_t kServeErrorCodes = 7;
 
-/** "shutdown" / "queue_full" / ... / "unknown_model". */
+/** "shutdown" / "queue_full" / ... / "invalid_input". */
 const char *serveErrorCodeName(ServeErrorCode code);
 
 /**

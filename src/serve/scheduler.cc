@@ -38,6 +38,8 @@ serveErrorCodeName(ServeErrorCode code)
         return "model_unavailable";
     case ServeErrorCode::UnknownModel:
         return "unknown_model";
+    case ServeErrorCode::InvalidInput:
+        return "invalid_input";
     }
     return "?";
 }

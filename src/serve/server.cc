@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -26,6 +27,22 @@ toTraceNs(ClockSource::Duration d)
         std::chrono::duration_cast<std::chrono::nanoseconds>(d)
             .count();
     return ns > 0 ? static_cast<uint64_t>(ns) : 0;
+}
+
+/** Why @p image cannot be served by an engine built to @p plan, or
+ *  null when it can: its shape differs from the plan's input, or a
+ *  pixel lies outside [0, 1] (NaN and the infinities included). */
+const char *
+invalidInput(const nn::Tensor &image, const nn::NetworkPlan &plan)
+{
+    if (image.channels() != plan.in_c || image.height() != plan.in_h ||
+        image.width() != plan.in_w)
+        return "image shape does not match the model input";
+    for (size_t i = 0; i < image.size(); ++i)
+        if (!(image[i] >= 0.0F && image[i] <= 1.0F))
+            return std::isfinite(image[i]) ? "pixel outside [0, 1]"
+                                           : "non-finite pixel";
+    return nullptr;
 }
 
 } // namespace
@@ -118,6 +135,14 @@ InferenceServer::submitImpl(nn::Tensor image, RequestOptions opts,
         ++outstanding_;
     }
     metrics_.recordSubmit();
+    // Payload validation comes first, so a malformed request costs no
+    // queue slot and no compute — and never reaches the engine's
+    // shape assertions.
+    if (const char *why = invalidInput(req.image, net_.plan())) {
+        metrics_.recordReject(ServeErrorCode::InvalidInput);
+        failRequest(req, ServeErrorCode::InvalidInput, why);
+        return fut;
+    }
     // Admission control: push() consumes the payload only on accept,
     // so on a refusal the promise is still ours to fail — the caller
     // gets an immediately-ready future with a typed error, never a
@@ -167,10 +192,13 @@ InferenceServer::failRequest(PendingRequest &req, ServeErrorCode code,
         o.accuracy = req.opts.accuracy;
         cfg_.outcome_hook(o);
     }
-    req.promise.set_exception(
-        std::make_exception_ptr(ServeError(code, what)));
+    // Resolve and retire in one critical section: a caller whose
+    // future just became ready must already see outstanding() without
+    // this request.
     {
         std::lock_guard<std::mutex> lk(state_mutex_);
+        req.promise.set_exception(
+            std::make_exception_ptr(ServeError(code, what)));
         --outstanding_;
     }
     idle_cv_.notify_all();
@@ -244,14 +272,14 @@ InferenceServer::runBatch(ClosedBatch &&batch)
     if (run.empty())
         return; // everything cancelled; nothing to execute or measure
 
-    // One forwardBatch call per closed micro-batch: batches of more
-    // than one image take the weight-stationary batch kernels (each
-    // filter block's weights are streamed once for the whole batch),
-    // singletons and Reference-mode batches fall back to the per-image
-    // loop inside forwardBatch. The per-item seeds are caller-chosen,
-    // hence the explicit-seeds overload. Per-item cancel signals ride
-    // along so an in-flight request can stop at a segment boundary
-    // without disturbing its batch-mates.
+    // One forwardBatch call per closed micro-batch: Fused and
+    // Progressive batches of any size, singletons included, take the
+    // weight-stationary batch kernels (each filter block's weights are
+    // streamed once for the whole batch); Binary runs its
+    // deterministic per-image backend. The per-item seeds are
+    // caller-chosen, hence the explicit-seeds overload. Per-item
+    // cancel signals ride along so an in-flight request can stop at a
+    // segment boundary without disturbing its batch-mates.
     const size_t n_run = run.size();
     std::vector<nn::Tensor> images;
     std::vector<uint64_t> seeds;
@@ -286,7 +314,7 @@ InferenceServer::runBatch(ClosedBatch &&batch)
         bits_hi = std::max<uint64_t>(bits_hi, info.effective_bits);
     }
     metrics_.recordBatchExecution(
-        core::ScNetwork::batchKernelEligible(popts, n_run), popts.mode,
+        core::ScNetwork::batchKernelEligible(popts.mode), popts.mode,
         bits_hi - bits_lo);
     if (obs::armed()) {
         obs::TraceRecorder &rec = obs::TraceRecorder::instance();
@@ -312,7 +340,6 @@ InferenceServer::runBatch(ClosedBatch &&batch)
                 std::chrono::duration<double, std::milli>(e)));
     }
 
-    size_t delivered = 0;
     for (size_t j = 0; j < n_run; ++j) {
         PendingRequest &item = batch.items[run[j]];
         if (infos[j].cancelled) {
@@ -350,12 +377,12 @@ InferenceServer::runBatch(ClosedBatch &&batch)
                 obs::SpanName::Request, item.id, cfg_.trace_tag,
                 static_cast<uint16_t>(item.opts.accuracy), item.id,
                 r.effective_bits);
-        item.promise.set_value(std::move(r));
-        ++delivered;
-    }
-    if (delivered > 0) {
-        std::lock_guard<std::mutex> lk(state_mutex_);
-        outstanding_ -= delivered;
+        {
+            // As in failRequest: resolve and retire together.
+            std::lock_guard<std::mutex> lk(state_mutex_);
+            item.promise.set_value(std::move(r));
+            --outstanding_;
+        }
     }
     idle_cv_.notify_all();
 }

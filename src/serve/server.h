@@ -4,9 +4,10 @@
  *
  * submit() hands back a std::future immediately; batch-worker threads
  * pull dynamically-coalesced micro-batches from the RequestQueue (see
- * scheduler.h for the close conditions) and run them through the
- * engine via predictWith(), one PredictOptions per batch mapped from
- * the batch's accuracy class by the server's QoS table. Measured
+ * scheduler.h for the close conditions) and run each one through the
+ * engine in one forwardBatch() call, with one PredictOptions per batch
+ * mapped from the batch's accuracy class by the server's QoS table.
+ * Measured
  * per-image service times feed back into the scheduler's
  * deadline-urgency estimates, closing the loop that lets a tight
  * deadline buy fewer effective bits instead of a miss. drain() waits
@@ -108,7 +109,7 @@ class InferenceServer
 {
   public:
     /**
-     * @param net   shared, already-constructed engine; predictWith()
+     * @param net   shared, already-constructed engine; forwardBatch()
      *              is thread-safe, so one network serves all workers
      * @param cfg   batching bounds / QoS table
      * @param clock injected time source; null uses the steady clock.
@@ -128,6 +129,8 @@ class InferenceServer
      * Enqueue one image for classification. Never blocks on compute
      * and never blocks on overload either: admission control fails
      * the returned future immediately with a typed ServeError —
+     * InvalidInput when the image's shape differs from the served
+     * network's input or a pixel is not a finite value in [0, 1],
      * ShutDown after shutdown()/close, QueueFull when the class queue
      * is at capacity — instead of growing the queue without bound.
      */

@@ -1,18 +1,20 @@
 /**
  * @file
  * Batch-axis (weight-stationary) execution, bottom to top: the batch
- * kernel twins must be bit-exact with the per-image multi-kernels over
- * shifted views (ragged lanes/taps/word ranges, non-contiguous active
- * image sets, SIMD on and off); the interleaved FSM batch transforms
+ * kernels must be bit-exact with their bit-serial reference twins and
+ * with themselves run one image at a time over shifted views (ragged
+ * lanes/taps/word ranges, non-contiguous active image sets, SIMD on
+ * and off); the interleaved FSM batch transforms
  * must match the single-stream resumable steppers across segment
- * boundaries; and ScNetwork::forwardBatch on the batched path must be
- * bit-exact — predictions, scores, effective bits, early-exit flags —
- * with the per-image loop path for every FEB kind, segment size,
- * ragged batch shape and mixed Progressive early-exit batch, at any
- * thread count.
+ * boundaries; and ScNetwork::forwardBatch must be bit-exact — scores
+ * and effective bits — with the bit-serial Reference oracle for every
+ * FEB kind, segment size and ragged batch shape (one image included),
+ * and a mixed Progressive early-exit batch must leave every image's
+ * outcome equal to its own single-image run, at any thread count.
  */
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,17 +120,23 @@ TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
                                 n_words, reference.data(), lane_stride,
                                 image_stride);
 
+                            // Each image alone, addressed through
+                            // its shifted views: batch composition
+                            // never changes an image's counts.
                             std::vector<uint16_t> per_image(
                                 active.size() * image_stride, 0);
+                            const std::vector<size_t> unit_strides(
+                                ops.xs0.size(), 0);
+                            const uint32_t only = 0;
                             for (size_t j = 0; j < active.size(); ++j) {
                                 sc::shiftViewsForImage(
                                     ops.xs0, ops.strides, active[j],
                                     shifted);
-                                sc::fusedProductCountsMulti(
-                                    shifted, block, approximate, w0,
-                                    n_words,
+                                sc::fusedProductCountsMultiBatch(
+                                    shifted, unit_strides, &only, 1,
+                                    block, approximate, w0, n_words,
                                     per_image.data() + j * image_stride,
-                                    lane_stride);
+                                    lane_stride, image_stride);
                             }
                             EXPECT_EQ(batched, per_image)
                                 << "taps=" << n_taps
@@ -414,34 +422,44 @@ TEST(FsmBatchStreams, InterleavedBtanhMatchesPerStreamAcrossSegments)
         EXPECT_EQ(signed_batch[s], signed_whole[s]) << "stream=" << s;
 }
 
-/** Batched vs loop forwardBatch on one network/options pair: the
- *  predictions and every per-image ForwardInfo field must agree. */
-void
-expectBatchedMatchesLoop(const core::ScNetwork &sc,
-                         const std::vector<nn::Tensor> &images,
-                         uint64_t seed, core::PredictOptions opts,
-                         const char *what)
+/** The bit-serial Reference oracle's ForwardInfo for image i of a
+ *  forwardBatch call at @p seed (seed schedule seed + i * 7919). */
+std::vector<core::ForwardInfo>
+referenceInfos(const core::ScNetwork &sc,
+               const std::vector<nn::Tensor> &images, uint64_t seed)
 {
-    opts.batch_path = core::BatchPath::Batched;
+    core::PredictOptions ref;
+    ref.mode = core::EngineMode::Reference;
+    std::vector<core::ForwardInfo> infos(images.size());
+    for (size_t i = 0; i < images.size(); ++i)
+        sc.predictWith(images[i], seed + i * 7919, ref, &infos[i]);
+    return infos;
+}
+
+/** forwardBatch under @p opts against precomputed Reference outcomes:
+ *  the scores and effective bits of every image must agree exactly,
+ *  and no image may report an early exit (callers pass options under
+ *  which the full stream runs). */
+void
+expectBatchedMatchesReference(const core::ScNetwork &sc,
+                              const std::vector<nn::Tensor> &images,
+                              uint64_t seed,
+                              const core::PredictOptions &opts,
+                              const std::vector<core::ForwardInfo> &ref,
+                              const std::string &what)
+{
     std::vector<core::ForwardInfo> bi;
-    const auto bp = sc.forwardBatch(images, seed, opts, nullptr, &bi);
-
-    opts.batch_path = core::BatchPath::Loop;
-    std::vector<core::ForwardInfo> li;
-    const auto lp = sc.forwardBatch(images, seed, opts, nullptr, &li);
-
-    EXPECT_EQ(bp, lp) << what;
-    ASSERT_EQ(bi.size(), li.size()) << what;
+    sc.forwardBatch(images, seed, opts, nullptr, &bi);
+    ASSERT_EQ(bi.size(), ref.size()) << what;
     for (size_t i = 0; i < bi.size(); ++i) {
-        EXPECT_EQ(bi[i].scores, li[i].scores) << what << " image=" << i;
-        EXPECT_EQ(bi[i].effective_bits, li[i].effective_bits)
+        EXPECT_EQ(bi[i].scores, ref[i].scores) << what << " image=" << i;
+        EXPECT_EQ(bi[i].effective_bits, ref[i].effective_bits)
             << what << " image=" << i;
-        EXPECT_EQ(bi[i].early_exit, li[i].early_exit)
-            << what << " image=" << i;
+        EXPECT_FALSE(bi[i].early_exit) << what << " image=" << i;
     }
 }
 
-TEST(BatchEngine, BatchedMatchesLoopForEveryFebKindAndSegmentSize)
+TEST(BatchEngine, BatchedMatchesReferenceForEveryFebKindAndSegmentSize)
 {
     const struct
     {
@@ -464,22 +482,31 @@ TEST(BatchEngine, BatchedMatchesLoopForEveryFebKindAndSegmentSize)
         cfg.layer_adders = {c.adder, core::AdderKind::Apc,
                             core::AdderKind::Apc};
         cfg.bitstream_len = 200; // 4 words, 8-bit tail
+        const std::vector<core::ForwardInfo> ref =
+            referenceInfos(core::ScNetwork(net, cfg), images, 17);
         // 1-word, a size that does not divide the stream, and
-        // whole-stream granularity.
+        // whole-stream granularity, through both segment knobs: Fused
+        // advances in batch_stream_segment_words, Progressive (with a
+        // margin it never reaches) in stream_segment_words.
         for (size_t seg_words : {size_t{1}, size_t{3}, size_t{0}}) {
             cfg.stream_segment_words = seg_words;
-            // Run the batched path at the same grid as the loop oracle
-            // (its default is whole-stream): the segment-carry logic
-            // of the batch kernels is what this loop covers.
             cfg.batch_stream_segment_words = seg_words;
             core::ScNetwork sc(net, cfg);
-            core::PredictOptions opts;
-            expectBatchedMatchesLoop(sc, images, 17, opts, "fused");
+            const std::string what =
+                "seg_words=" + std::to_string(seg_words);
+            core::PredictOptions fused;
+            expectBatchedMatchesReference(sc, images, 17, fused, ref,
+                                          "fused " + what);
+            core::PredictOptions prog;
+            prog.mode = core::EngineMode::Progressive;
+            prog.progressive_margin = 1e9;
+            expectBatchedMatchesReference(sc, images, 17, prog, ref,
+                                          "progressive " + what);
         }
     }
 }
 
-TEST(BatchEngine, RaggedBatchSizesMatchPerImagePredict)
+TEST(BatchEngine, RaggedBatchSizesMatchReference)
 {
     nn::Network net = nn::buildMiniLeNet(nn::PoolingMode::Max, 23);
     core::ScNetworkConfig cfg;
@@ -494,13 +521,9 @@ TEST(BatchEngine, RaggedBatchSizesMatchPerImagePredict)
         for (size_t i = 0; i < batch; ++i)
             images.push_back(nn::DigitDataset::render(i % 10, 60 + i));
         core::PredictOptions opts;
-        expectBatchedMatchesLoop(sc, images, 31, opts, "ragged");
-        // And against per-image predict at the batch seed schedule.
-        const auto preds = sc.forwardBatch(images, 31, opts, nullptr,
-                                           nullptr);
-        for (size_t i = 0; i < batch; ++i)
-            EXPECT_EQ(preds[i], sc.predict(images[i], 31 + i * 7919))
-                << "batch=" << batch << " image=" << i;
+        expectBatchedMatchesReference(sc, images, 31, opts,
+                                      referenceInfos(sc, images, 31),
+                                      "batch=" + std::to_string(batch));
     }
 }
 
@@ -509,9 +532,9 @@ TEST(BatchEngine, ProgressiveMixedEarlyExitBatchStaysBitExact)
     // A trained network makes rendered digits decisive (they exit at
     // the margin check) while a uniform gray image stays ambiguous
     // (near-equal class scores, no exit) — a mixed batch in which some
-    // images leave mid-stream. The batched path must compact the
-    // active set without disturbing the survivors: every per-image
-    // outcome equals the loop path's.
+    // images leave mid-stream. Compaction must not disturb anyone:
+    // every image's outcome equals its own single-image run, and the
+    // images that run the full stream equal the Reference oracle.
     nn::Dataset train = nn::DigitDataset::generate(1200, 5);
     nn::Network net = nn::buildMiniLeNet(nn::PoolingMode::Max, 1);
     nn::TrainConfig tc;
@@ -536,13 +559,33 @@ TEST(BatchEngine, ProgressiveMixedEarlyExitBatchStaysBitExact)
     opts.mode = core::EngineMode::Progressive;
     opts.progressive_margin = 2.0;
     opts.progressive_min_bits = 128;
-    expectBatchedMatchesLoop(sc, images, 7, opts, "progressive");
-
     std::vector<core::ForwardInfo> infos;
-    sc.forwardBatch(images, 7, opts, nullptr, &infos);
+    const auto preds = sc.forwardBatch(images, 7, opts, nullptr, &infos);
+
+    core::PredictOptions ref_opts;
+    ref_opts.mode = core::EngineMode::Reference;
     size_t exits = 0;
-    for (const auto &info : infos)
-        exits += info.early_exit ? 1 : 0;
+    for (size_t i = 0; i < images.size(); ++i) {
+        const uint64_t seed = 7 + i * 7919;
+        core::ForwardInfo alone;
+        EXPECT_EQ(sc.predictWith(images[i], seed, opts, &alone), preds[i])
+            << "image=" << i;
+        EXPECT_EQ(infos[i].scores, alone.scores) << "image=" << i;
+        EXPECT_EQ(infos[i].effective_bits, alone.effective_bits)
+            << "image=" << i;
+        EXPECT_EQ(infos[i].early_exit, alone.early_exit) << "image=" << i;
+        if (infos[i].early_exit) {
+            ++exits;
+            EXPECT_LT(infos[i].effective_bits, cfg.bitstream_len);
+            continue;
+        }
+        core::ForwardInfo ref;
+        EXPECT_EQ(sc.predictWith(images[i], seed, ref_opts, &ref), preds[i])
+            << "image=" << i;
+        EXPECT_EQ(infos[i].scores, ref.scores) << "image=" << i;
+        EXPECT_EQ(infos[i].effective_bits, ref.effective_bits)
+            << "image=" << i;
+    }
     EXPECT_GT(exits, 0u) << "no image exited early";
     EXPECT_LT(exits, images.size()) << "every image exited early";
 }

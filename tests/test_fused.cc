@@ -99,6 +99,21 @@ INSTANTIATE_TEST_SUITE_P(
         // Lengths around the 64-bit word boundary and realistic L.
         ::testing::Values(1, 63, 64, 65, 300, 1024)));
 
+/** fusedProductCountsMultiBatch over the single image @p xs (its
+ *  operand views themselves, image stride 0). */
+void
+productCountsOneImage(const std::vector<sc::BitstreamView> &xs,
+                      const sc::WeightBlockView &block, bool approximate,
+                      size_t begin_word, size_t end_word, uint16_t *out,
+                      size_t out_stride)
+{
+    const std::vector<size_t> strides(xs.size(), 0);
+    const uint32_t image = 0;
+    sc::fusedProductCountsMultiBatch(xs, strides, &image, 1, block,
+                                     approximate, begin_word, end_word,
+                                     out, out_stride, 0);
+}
+
 /** A filter block plus the matching plain per-filter views. */
 struct BlockSet
 {
@@ -140,8 +155,8 @@ TEST_P(MultiVsReference, ProductCountsMultiBitExact)
         const sc::WeightBlockView block = set.arena.block(g);
         std::vector<uint16_t> fused(block.lanes * len, 0xAAAA);
         std::vector<uint16_t> ref(block.lanes * len, 0x5555);
-        sc::fusedProductCountsMulti(xs, block, /*approximate=*/true, 0,
-                                    n_words, fused.data(), len);
+        productCountsOneImage(xs, block, /*approximate=*/true, 0, n_words,
+                              fused.data(), len);
         sc::referenceProductCountsMulti(xs, block, /*approximate=*/true,
                                         0, n_words, ref.data(), len);
         EXPECT_EQ(fused, ref) << "group " << g;
@@ -171,8 +186,8 @@ TEST_P(MultiVsReference, RangedSegmentsConcatenateToWholeStream)
     const sc::WeightBlockView block = set.arena.block(0);
 
     std::vector<uint16_t> whole(block.lanes * len);
-    sc::fusedProductCountsMulti(xs, block, /*approximate=*/true, 0,
-                                n_words, whole.data(), len);
+    productCountsOneImage(xs, block, /*approximate=*/true, 0, n_words,
+                          whole.data(), len);
     // Word-range partitions, including one that does not divide the
     // word count, must reproduce the whole-stream counts exactly.
     for (size_t seg_words : {size_t{1}, size_t{2}, size_t{3}}) {
@@ -181,8 +196,8 @@ TEST_P(MultiVsReference, RangedSegmentsConcatenateToWholeStream)
             const size_t w1 = std::min(w0 + seg_words, n_words);
             const size_t n_cycles = std::min(w1 * 64, len) - w0 * 64;
             std::vector<uint16_t> part(block.lanes * n_cycles);
-            sc::fusedProductCountsMulti(xs, block, /*approximate=*/true,
-                                        w0, w1, part.data(), n_cycles);
+            productCountsOneImage(xs, block, /*approximate=*/true, w0, w1,
+                                  part.data(), n_cycles);
             for (size_t f = 0; f < block.lanes; ++f)
                 std::copy(part.begin() +
                               static_cast<ptrdiff_t>(f * n_cycles),
@@ -267,8 +282,8 @@ TEST(MultiKernels, EmptyRangeAtTheRaggedTailIsANoOp)
     const auto xs = sc::toViews(set.ops.xs);
     const sc::WeightBlockView block = set.arena.block(0);
     std::vector<uint16_t> out(8, 0x1234);
-    sc::fusedProductCountsMulti(xs, block, true, n_words, n_words,
-                                out.data(), 4);
+    productCountsOneImage(xs, block, true, n_words, n_words, out.data(),
+                          4);
     sc::referenceProductCountsMulti(xs, block, true, n_words, n_words,
                                     out.data(), 4);
     std::vector<uint64_t> words(4, 0x77);

@@ -246,14 +246,14 @@ TEST(Cancellation, SingleImageStopsAtSegmentBoundary)
 
     const nn::Tensor img = nn::DigitDataset::render(3, 11);
     core::ForwardInfo ref;
-    fx.sc->predictWith(img, 99, opts, nullptr, &ref);
+    fx.sc->predictWith(img, 99, opts, &ref);
     EXPECT_FALSE(ref.cancelled);
     EXPECT_EQ(ref.effective_bits, 256u);
 
     CancelAfterPolls sig(1); // trip at the second boundary
     opts.cancel = &sig;
     core::ForwardInfo info;
-    fx.sc->predictWith(img, 99, opts, nullptr, &info);
+    fx.sc->predictWith(img, 99, opts, &info);
     EXPECT_TRUE(info.cancelled);
     EXPECT_FALSE(info.early_exit);
     EXPECT_EQ(info.effective_bits, 128u); // stopped after 2 segments
@@ -273,7 +273,7 @@ TEST(Cancellation, BatchMatesAreBitExactWhenOneImageCancels)
         images.push_back(nn::DigitDataset::render(i, 5 + i));
         seeds.push_back(1000 + i);
     }
-    ASSERT_TRUE(core::ScNetwork::batchKernelEligible(opts, 4));
+    ASSERT_TRUE(core::ScNetwork::batchKernelEligible(opts.mode));
 
     std::vector<core::ForwardInfo> ref;
     const std::vector<size_t> ref_preds =

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -172,7 +173,9 @@ TEST(Artifact, EveryBitFlipIsRejectedWithADiagnostic)
     const auto writeBytes = [&](const std::vector<unsigned char> &b) {
         std::FILE *w = std::fopen(path.c_str(), "wb");
         ASSERT_NE(w, nullptr);
-        ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), w), b.size());
+        // fwrite's buffer must not be null, even for zero bytes.
+        if (!b.empty())
+            ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), w), b.size());
         std::fclose(w);
     };
 
@@ -308,9 +311,9 @@ TEST(ModelRegistry, RoutesToTheRightModelBitExactly)
             reg.submit("b", img, opts).get();
         core::ForwardInfo ia, ib;
         const size_t pa =
-            ref_a.predictWith(img, 4000 + i, popts, nullptr, &ia);
+            ref_a.predictWith(img, 4000 + i, popts, &ia);
         const size_t pb =
-            ref_b.predictWith(img, 4000 + i, popts, nullptr, &ib);
+            ref_b.predictWith(img, 4000 + i, popts, &ib);
         EXPECT_EQ(ra.predicted, pa);
         EXPECT_EQ(rb.predicted, pb);
         EXPECT_EQ(ra.scores, ia.scores); // bit-exact
@@ -348,6 +351,70 @@ TEST(ModelRegistry, UnknownAndRetiredModelsFailFastWithTypedCodes)
     // Retired entries keep their final serving metrics visible.
     EXPECT_EQ(snap.models[0].server.completed, 0u);
     EXPECT_FALSE(snap.toJson().empty());
+}
+
+TEST(ModelRegistry, MalformedInputsFailTypedNextToValidTraffic)
+{
+    // A wrong shape, an all-NaN image and an out-of-range image each
+    // resolve to a typed InvalidInput error before admission — on a
+    // bare InferenceServer and through a ModelRegistry alike — while
+    // the valid requests interleaved with them are served bit-exactly.
+    nn::Network net = nn::buildTopology(miniSpec(5), nn::PoolingMode::Max);
+    core::ScNetwork ref(net, miniConfig());
+    const core::PredictOptions popts =
+        serve::QosPolicy{core::EngineMode::Fused, 0.0, 0}
+            .predictOptions();
+    nn::Tensor all_nan = image(7);
+    nn::Tensor huge = image(8);
+    for (size_t i = 0; i < all_nan.size(); ++i) {
+        all_nan[i] = std::numeric_limits<float>::quiet_NaN();
+        huge[i] = 1e30F;
+    }
+    const std::vector<nn::Tensor> bad = {nn::Tensor(1, 12, 11), all_nan,
+                                         huge};
+
+    serve::InferenceServer server(ref, fastTemplate());
+    RegistryConfig rc;
+    rc.server_template = fastTemplate();
+    ModelRegistry reg(rc);
+    ASSERT_TRUE(reg.install("a", miniArtifact("a", 1, 5)).ok);
+
+    for (const bool via_registry : {false, true}) {
+        const auto submit = [&](const nn::Tensor &img,
+                                const serve::RequestOptions &opts) {
+            return via_registry ? reg.submit("a", img, opts)
+                                : server.submit(img, opts);
+        };
+        std::vector<std::future<serve::InferenceResult>> good;
+        std::vector<ServeErrorCode> codes;
+        for (uint64_t i = 0; i < bad.size(); ++i) {
+            serve::RequestOptions opts;
+            opts.accuracy = serve::AccuracyClass::High;
+            opts.seed = 4000 + i;
+            good.push_back(submit(image(100 + i), opts));
+            codes.push_back(codeOf(submit(bad[i], opts)));
+        }
+        for (uint64_t i = 0; i < bad.size(); ++i) {
+            EXPECT_EQ(codes[i], ServeErrorCode::InvalidInput)
+                << "registry=" << via_registry << " input=" << i;
+            const serve::InferenceResult r = good[i].get();
+            core::ForwardInfo info;
+            EXPECT_EQ(r.predicted,
+                      ref.predictWith(image(100 + i), 4000 + i, popts,
+                                      &info));
+            EXPECT_EQ(r.scores, info.scores) << "bit-exact";
+        }
+    }
+    EXPECT_EQ(std::string(serve::serveErrorCodeName(
+                  ServeErrorCode::InvalidInput)),
+              "invalid_input");
+    EXPECT_EQ(server.metricsSnapshot().rejected_invalid_input, 3u);
+    const serve::RegistrySnapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.models.size(), 1u);
+    EXPECT_EQ(snap.models[0].server.rejected_invalid_input, 3u);
+    EXPECT_EQ(snap.models[0].server.completed, 3u);
+    // Malformed payloads are the caller's fault, not the model's.
+    EXPECT_EQ(snap.models[0].state, ModelState::Serving);
 }
 
 TEST(ModelRegistry, CorruptArtifactInstallIsRejectedWithDiagnostic)
@@ -507,7 +574,7 @@ TEST(ModelRegistry, InFlightRequestsBitExactAcrossSwapOfOtherModel)
             reg.submit("a", img, opts).get();
         core::ForwardInfo info;
         const size_t pred =
-            ref_a.predictWith(img, 9000 + i, popts, nullptr, &info);
+            ref_a.predictWith(img, 9000 + i, popts, &info);
         ASSERT_EQ(r.predicted, pred) << "request " << i;
         ASSERT_EQ(r.scores, info.scores) << "request " << i;
     }

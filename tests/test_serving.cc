@@ -396,9 +396,9 @@ TEST(InferenceServer, MicroBatchesTakeTheBatchKernel)
     EXPECT_DOUBLE_EQ(snap.avg_effective_bits_spread, 0.0);
     EXPECT_EQ(snap.max_effective_bits_spread, 0u);
 
-    // Singleton batches are the counter's other side: max_batch = 1
-    // makes every micro-batch a single image, which takes the
-    // per-image loop.
+    // Singleton batches take the same kernels: max_batch = 1 makes
+    // every micro-batch a single image, and the loop counter still
+    // stays zero (only the Binary backend runs per-image loops).
     serve::ServerConfig single_cfg;
     single_cfg.limits = limits(1, 1h);
     serve::InferenceServer singles(*fx.sc, single_cfg);
@@ -409,11 +409,13 @@ TEST(InferenceServer, MicroBatchesTakeTheBatchKernel)
         opts.seed = 6000 + i;
         sf.push_back(singles.submit(images[i], opts));
     }
-    for (auto &f : sf)
-        f.get();
+    for (size_t i = 0; i < sf.size(); ++i)
+        EXPECT_EQ(sf[i].get().predicted,
+                  fx.sc->predict(images[i], 6000 + i))
+            << "request=" << i;
     const auto ssnap = singles.metricsSnapshot();
-    EXPECT_EQ(ssnap.batch_kernel_batches, 0u);
-    EXPECT_EQ(ssnap.loop_batches, 2u);
+    EXPECT_EQ(ssnap.batch_kernel_batches, 2u);
+    EXPECT_EQ(ssnap.loop_batches, 0u);
 }
 
 TEST(InferenceServer, ServesNonLeNetTopologies)
@@ -594,7 +596,7 @@ TEST(InferenceServer, ProgressiveClassReportsEffectiveBits)
         server.config().qos[static_cast<size_t>(AccuracyClass::Fast)];
     core::ForwardInfo direct;
     const size_t pred =
-        sc.predictWith(img, 99, fast.predictOptions(), nullptr, &direct);
+        sc.predictWith(img, 99, fast.predictOptions(), &direct);
     EXPECT_EQ(r.predicted, pred);
     EXPECT_EQ(r.effective_bits, direct.effective_bits);
     EXPECT_EQ(r.early_exit, direct.early_exit);

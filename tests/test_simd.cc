@@ -101,6 +101,21 @@ TEST_P(SimdVsScalar, ProductCountTotalMatches)
     }
 }
 
+/** fusedProductCountsMultiBatch over the single image @p xs (its
+ *  operand views themselves, image stride 0). */
+void
+productCountsOneImage(const std::vector<sc::BitstreamView> &xs,
+                      const sc::WeightBlockView &block, bool approximate,
+                      size_t begin_word, size_t end_word, uint16_t *out,
+                      size_t out_stride)
+{
+    const std::vector<size_t> strides(xs.size(), 0);
+    const uint32_t image = 0;
+    sc::fusedProductCountsMultiBatch(xs, strides, &image, 1, block,
+                                     approximate, begin_word, end_word,
+                                     out, out_stride, 0);
+}
+
 TEST_P(SimdVsScalar, ProductCountsMultiMatch)
 {
     // The AVX2 filter-lane compressor tree against the scalar
@@ -126,13 +141,11 @@ TEST_P(SimdVsScalar, ProductCountsMultiMatch)
                     std::vector<uint16_t> with_simd(block.lanes * len);
                     std::vector<uint16_t> without(block.lanes * len);
                     sc::simd::setEnabled(true);
-                    sc::fusedProductCountsMulti(ops.xv, block,
-                                                approximate, w0, n_words,
-                                                with_simd.data(), len);
+                    productCountsOneImage(ops.xv, block, approximate, w0,
+                                          n_words, with_simd.data(), len);
                     sc::simd::setEnabled(false);
-                    sc::fusedProductCountsMulti(ops.xv, block,
-                                                approximate, w0, n_words,
-                                                without.data(), len);
+                    productCountsOneImage(ops.xv, block, approximate, w0,
+                                          n_words, without.data(), len);
                     EXPECT_EQ(with_simd, without)
                         << "n=" << n << " len=" << len
                         << " filters=" << filters << " w0=" << w0

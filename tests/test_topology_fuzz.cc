@@ -5,8 +5,9 @@
  * the golden LeNet5 shape. For ~20 seeded random topologies (varying
  * conv depth, channel counts, kernel sizes, pooling modes, adder
  * kinds, fc widths, class counts and stream lengths) the fused
- * word-parallel engine must be bit-exact against the bit-serial
- * Reference oracle at every tested segment granularity, and the SC
+ * word-parallel engine — single images and micro-batches alike — must
+ * be bit-exact against the bit-serial Reference oracle at every tested
+ * segment granularity, and the SC
  * output scores must track the float network's logits within a
  * tolerance set by the stream length. The binary XNOR-popcount
  * backend rides the same corpus with *exact* differentials: its fused
@@ -127,16 +128,29 @@ TEST(TopologyFuzz, FusedMatchesReferenceAtEverySegmentSize)
         core::ScNetwork ref_net(net, cfg);
         ref_net.setEngineMode(core::EngineMode::Reference);
         core::ForwardInfo ref;
-        const size_t ref_pred = ref_net.predict(img, seed, nullptr, &ref);
+        const size_t ref_pred = ref_net.predict(img, seed, &ref);
         ASSERT_LT(ref_pred, t.spec.n_classes) << "case=" << c;
 
         // 1-word, 3-word (does not divide 128/192-bit streams evenly
-        // against the 4-word default) and whole-stream granularity.
+        // against the 4-word default) and whole-stream granularity, on
+        // the Fused segment knob and on Progressive's (with a margin
+        // it never reaches, so the whole stream runs).
         for (size_t seg_words : {size_t{1}, size_t{3}, size_t{0}}) {
+            cfg.batch_stream_segment_words = seg_words;
             cfg.stream_segment_words = seg_words;
             core::ScNetwork fused(net, cfg);
             core::ForwardInfo info;
-            EXPECT_EQ(fused.predict(img, seed, nullptr, &info), ref_pred)
+            EXPECT_EQ(fused.predict(img, seed, &info), ref_pred)
+                << "case=" << c << " seg_words=" << seg_words;
+            EXPECT_EQ(info.scores, ref.scores)
+                << "case=" << c << " seg_words=" << seg_words;
+            EXPECT_EQ(info.effective_bits, cfg.bitstream_len)
+                << "case=" << c << " seg_words=" << seg_words;
+
+            core::PredictOptions prog;
+            prog.mode = core::EngineMode::Progressive;
+            prog.progressive_margin = 1e9;
+            EXPECT_EQ(fused.predictWith(img, seed, prog, &info), ref_pred)
                 << "case=" << c << " seg_words=" << seg_words;
             EXPECT_EQ(info.scores, ref.scores)
                 << "case=" << c << " seg_words=" << seg_words;
@@ -170,7 +184,7 @@ TEST(TopologyFuzz, ScScoresTrackTheFloatLogits)
 
         core::ScNetwork sc(net, t.cfg);
         core::ForwardInfo info;
-        sc.predict(img, 9000 + c, nullptr, &info);
+        sc.predict(img, 9000 + c, &info);
         ASSERT_EQ(info.scores.size(), logits.size()) << "case=" << c;
 
         const double noise_scale = std::sqrt(
@@ -191,43 +205,48 @@ TEST(TopologyFuzz, ScScoresTrackTheFloatLogits)
     EXPECT_GT(worst, 0.0);
 }
 
-TEST(TopologyFuzz, BatchedPathMatchesLoopOnEveryRandomTopology)
+TEST(TopologyFuzz, BatchedPathMatchesReferenceOnEveryRandomTopology)
 {
     // The weight-stationary batch kernels must be bit-exact with the
-    // per-image loop oracle on *every* topology the grammar admits,
-    // not just LeNet shapes — conv-free MLPs, MUX layers, average
-    // pooling and odd stream lengths all route through the same batch
-    // driver. Rotate the batch segment granularity across cases so
-    // whole-stream, single-word and grid-misaligned carries all run.
+    // bit-serial Reference oracle on *every* topology the grammar
+    // admits, not just LeNet shapes — conv-free MLPs, MUX layers,
+    // average pooling and odd stream lengths all route through the
+    // same batch driver — at every batch segment granularity:
+    // whole-stream, single-word and grid-misaligned carries.
     ThreadPool one(1);
     for (uint64_t c = 0; c < kCases; ++c) {
         FuzzTopology t = randomTopology(c);
         nn::Network net = nn::buildTopology(t.spec, t.pooling);
         core::ScNetworkConfig cfg = t.cfg;
-        const size_t seg_rotation[] = {0, 1, 3};
-        cfg.batch_stream_segment_words = seg_rotation[c % 3];
-        core::ScNetwork sc(net, cfg);
 
         std::vector<nn::Tensor> images;
         for (size_t i = 0; i < 3; ++i)
             images.push_back(
                 randomImage(t.spec.in_h, t.spec.in_w, 800 + c * 10 + i));
 
-        core::PredictOptions batched;
-        batched.batch_path = core::BatchPath::Batched;
-        core::PredictOptions loop;
-        loop.batch_path = core::BatchPath::Loop;
+        core::PredictOptions ref_opts;
+        ref_opts.mode = core::EngineMode::Reference;
+        std::vector<core::ForwardInfo> ref;
+        const auto r = core::ScNetwork(net, cfg).forwardBatch(
+            images, 9000 + c, ref_opts, &one, &ref);
 
-        std::vector<core::ForwardInfo> bi, li;
-        const auto b = sc.forwardBatch(images, 9000 + c, batched, &one, &bi);
-        const auto l = sc.forwardBatch(images, 9000 + c, loop, &one, &li);
-        ASSERT_EQ(b, l) << "case=" << c;
-        ASSERT_EQ(bi.size(), li.size()) << "case=" << c;
-        for (size_t i = 0; i < bi.size(); ++i) {
-            EXPECT_EQ(bi[i].scores, li[i].scores)
-                << "case=" << c << " image=" << i;
-            EXPECT_EQ(bi[i].effective_bits, li[i].effective_bits)
-                << "case=" << c << " image=" << i;
+        for (size_t seg_words : {size_t{0}, size_t{1}, size_t{3}}) {
+            cfg.batch_stream_segment_words = seg_words;
+            core::ScNetwork sc(net, cfg);
+            std::vector<core::ForwardInfo> bi;
+            const auto b =
+                sc.forwardBatch(images, 9000 + c, core::PredictOptions{},
+                                &one, &bi);
+            ASSERT_EQ(b, r) << "case=" << c << " seg_words=" << seg_words;
+            ASSERT_EQ(bi.size(), ref.size()) << "case=" << c;
+            for (size_t i = 0; i < bi.size(); ++i) {
+                EXPECT_EQ(bi[i].scores, ref[i].scores)
+                    << "case=" << c << " seg_words=" << seg_words
+                    << " image=" << i;
+                EXPECT_EQ(bi[i].effective_bits, ref[i].effective_bits)
+                    << "case=" << c << " seg_words=" << seg_words
+                    << " image=" << i;
+            }
         }
     }
 }
@@ -388,7 +407,7 @@ TEST(TopologyFuzz, BinaryScoresMatchTheFloatSignNetOracle)
         core::PredictOptions popts;
         popts.mode = core::EngineMode::Binary;
         core::ForwardInfo info;
-        EXPECT_EQ(sc.predictWith(img, 123 + c, popts, nullptr, &info),
+        EXPECT_EQ(sc.predictWith(img, 123 + c, popts, &info),
                   pred)
             << "case=" << c;
         EXPECT_EQ(info.scores, oracle) << "case=" << c;
@@ -413,8 +432,7 @@ TEST(TopologyFuzz, BinaryForwardBatchIsThreadCountInvariant)
 
     core::PredictOptions popts;
     popts.mode = core::EngineMode::Binary;
-    EXPECT_FALSE(
-        core::ScNetwork::batchKernelEligible(popts, images.size()));
+    EXPECT_FALSE(core::ScNetwork::batchKernelEligible(popts.mode));
 
     ThreadPool one(1), three(3);
     std::vector<core::ForwardInfo> ia, ib;

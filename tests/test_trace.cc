@@ -4,9 +4,9 @@
  * win), cross-thread snapshot merge in timestamp order (safe while
  * writers are live — the TSan lane runs this), the disarmed hot path
  * allocating nothing and recording nothing, Chrome trace_event export
- * that parses back as JSON, agreement between the tracing aggregate
- * and the engine's own PhaseBreakdown counters (they share one
- * measured lap per phase), serve-layer lifecycle spans, and the
+ * that parses back as JSON, per-stage engine phase spans feeding the
+ * tracing aggregate on batched and single-image forward passes,
+ * serve-layer lifecycle spans, and the
  * flight recorder dumping a model's recent events when an injected
  * execution fault trips its circuit breaker.
  */
@@ -454,7 +454,8 @@ TEST(ChromeTrace, ExportParsesBackAsJson)
     rec.instant(SpanName::BatchClose, tag, /*reason=*/1, 4, 2);
     rec.spanComplete(SpanName::BatchCompute, t0 + 1000, 2000, tag, 0,
                      4, 64);
-    rec.spanComplete(SpanName::InnerProduct, t0, 500, 0, 0, /*seg=*/2);
+    rec.spanComplete(SpanName::InnerProduct, t0, 500, 0, /*stage=*/1,
+                     /*seg=*/2);
     rec.counter(SpanName::QueueDepth, 3);
     rec.asyncEnd(SpanName::Request, 0x2a, tag, 1, 0x2a, 64);
     rec.disarm();
@@ -473,40 +474,52 @@ TEST(ChromeTrace, ExportParsesBackAsJson)
          {"\"name\":\"queue_wait\"", "\"name\":\"batch_close\"",
           "\"name\":\"batch_compute\"", "\"name\":\"inner_product\"",
           "\"name\":\"request\"", "\"reason\":\"delay_expired\"",
-          "\"model\":\"model-a\"", "\"seg\":2", "\"req\":42",
+          "\"model\":\"model-a\"", "\"stage\":1", "\"seg\":2",
+          "\"req\":42",
           "\"id\":\"0x2a\"", "\"test-main\""})
         EXPECT_NE(json.find(needle), std::string::npos) << needle;
 }
 
 // ------------------------------------------- engine phase aggregation
 
-TEST(PhaseProfile, AgreesWithEngineBreakdown)
+TEST(PhaseProfile, EngineEmitsPhaseSpansPerStage)
 {
     TraceRecorder &rec = freshRecorder();
     nn::Network net =
         nn::buildTopology(miniSpec(3), nn::PoolingMode::Max);
     core::ScNetwork scn(net, miniConfig());
-    scn.predict(image(1), 1); // warm-up while disarmed
+    const std::vector<nn::Tensor> images = {image(1), image(2), image(3)};
+    scn.forwardBatch(images, 1); // warm-up while disarmed
 
-    core::PhaseBreakdown pb;
     rec.arm();
-    scn.predict(image(1), 2, &pb);
+    scn.forwardBatch(images, 2);
+    scn.predict(image(4), 3);
     rec.disarm();
 
-    // Span aggregate and PhaseBreakdown accumulate the same measured
-    // lap per phase, so they must agree exactly — if they ever
-    // diverge, one of the two timing sources is lying.
-    EXPECT_EQ(rec.profileTotalNs(SpanName::Encode),
-              pb.encode_ns.load());
-    EXPECT_EQ(rec.profileTotalNs(SpanName::InnerProduct),
-              pb.inner_product_ns.load());
-    EXPECT_EQ(rec.profileTotalNs(SpanName::Pooling),
-              pb.pooling_ns.load());
-    EXPECT_EQ(rec.profileTotalNs(SpanName::Activation),
-              pb.activation_ns.load());
-    EXPECT_EQ(rec.profileTotalNs(SpanName::Output),
-              pb.output_ns.load());
-    EXPECT_GT(rec.profileTotalNs(SpanName::InnerProduct), 0u);
+    // Every phase of a forward pass, batched or single-image, lands in
+    // the aggregate...
+    for (SpanName name : {SpanName::Encode, SpanName::InnerProduct,
+                          SpanName::Pooling, SpanName::Activation,
+                          SpanName::Output})
+        EXPECT_GT(rec.profileTotalNs(name), 0u) << spanName(name);
+
+    // ...and each hidden stage emits its own spans, the stage index in
+    // the span's extra field (the output layer's is stageCount()).
+    std::set<uint16_t> inner_stages, output_stages;
+    for (const Event &e : rec.snapshot()) {
+        if (e.kind() != EventKind::SpanComplete)
+            continue;
+        if (e.name() == SpanName::InnerProduct)
+            inner_stages.insert(e.extra());
+        if (e.name() == SpanName::Output)
+            output_stages.insert(e.extra());
+    }
+    std::set<uint16_t> hidden;
+    for (size_t l = 0; l < scn.stageCount(); ++l)
+        hidden.insert(static_cast<uint16_t>(l));
+    EXPECT_EQ(inner_stages, hidden);
+    EXPECT_EQ(output_stages,
+              std::set<uint16_t>{static_cast<uint16_t>(scn.stageCount())});
 
     // The aggregate also lands in the metrics snapshot wire format.
     bool saw_inner_product = false;

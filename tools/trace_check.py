@@ -24,7 +24,9 @@ instrumentation both actually fired —
   - engine phase spans (encode / inner_product / activation / output),
     with inner_product observed at >= --min-seg-values distinct
     segment offsets (the per-segment streaming structure is visible,
-    not just one aggregate span).
+    not just one aggregate span) and from >= 2 distinct network stages
+    (the "stage" argument: per-stage spans on the batched path serving
+    runs).
 
 Exit status: 0 when valid, 1 on failed coverage checks, 2 on
 malformed input.
@@ -35,6 +37,9 @@ import json
 import sys
 
 KNOWN_PH = {"X", "b", "e", "i", "C", "M"}
+# Distinct "stage" values inner_product spans must show: the traced
+# serving bench runs LeNet-class networks with >= 2 hidden stages.
+MIN_STAGES = 2
 CLOSE_REASONS = {"full", "delay_expired", "expedited", "drain"}
 
 
@@ -138,6 +143,13 @@ def main():
             len(segs) >= args.min_seg_values,
             f"{len(segs)} distinct seg offsets "
             f"(need >= {args.min_seg_values})")
+
+    stages = {e.get("args", {}).get("stage") for e in events
+              if e["name"] == "inner_product" and e["ph"] == "X"}
+    stages.discard(None)
+    require("inner_product stage diversity",
+            len(stages) >= MIN_STAGES,
+            f"{len(stages)} distinct stages (need >= {MIN_STAGES})")
 
     if not ok:
         sys.exit(1)
