@@ -2,8 +2,10 @@
  * @file
  * Throughput benchmark of the SC inference engine: single-image
  * latency of the fused word-parallel engine vs the bit-serial
- * reference oracle (with a per-phase breakdown of the fused pass),
- * and batched throughput (forwardBatch) across thread counts. Results
+ * reference oracle (with per-phase and per-(stage, phase) breakdowns
+ * of the fused pass), and batched throughput (forwardBatch) across
+ * thread counts. Single-image SC timings run on a one-thread pool, the
+ * same pool as the one-thread batch point they are compared with. Results
  * are printed as a table and written as machine-readable JSON (default
  * BENCH_throughput.json, override with SCDCNN_BENCH_JSON) so the perf
  * trajectory can be tracked PR over PR; when a prior JSON exists at
@@ -96,6 +98,46 @@ phaseMs(const obs::TraceRecorder &rec, size_t reps)
     return ms;
 }
 
+/** One row of the per-(stage, phase) table: milliseconds per image of
+ *  one engine phase in one stage, summed over threads. */
+struct StagePhaseMs
+{
+    unsigned stage;
+    obs::SpanName phase;
+    double ms;
+};
+
+/** Sum the engine phase spans of the recorder's rings by (stage,
+ *  phase) — the stage is the span's `extra` field — in ms per image.
+ *  Rows come out ordered by stage, then phase. */
+std::vector<StagePhaseMs>
+stagePhaseMs(const obs::TraceRecorder &rec, size_t images)
+{
+    std::vector<StagePhaseMs> rows;
+    for (const obs::Event &e : rec.snapshot()) {
+        if (e.kind() != obs::EventKind::SpanComplete ||
+            e.name() > obs::SpanName::Output)
+            continue;
+        const double ms = static_cast<double>(e.dur_or_id) * 1e-6 /
+                          static_cast<double>(images);
+        auto it = std::find_if(rows.begin(), rows.end(),
+                               [&](const StagePhaseMs &r) {
+                                   return r.stage == e.extra() &&
+                                          r.phase == e.name();
+                               });
+        if (it == rows.end())
+            rows.push_back({e.extra(), e.name(), ms});
+        else
+            it->ms += ms;
+    }
+    std::sort(rows.begin(), rows.end(),
+              [](const StagePhaseMs &a, const StagePhaseMs &b) {
+                  return a.stage != b.stage ? a.stage < b.stage
+                                            : a.phase < b.phase;
+              });
+    return rows;
+}
+
 /** Read a whole file, empty string when absent. */
 std::string
 readFile(const std::string &path)
@@ -156,24 +198,44 @@ main()
     nn::Tensor img = nn::DigitDataset::render(3, 7);
 
     // --- single-image latency, both engine modes -------------------
-    // The per-phase breakdown comes from the tracing aggregate, armed
-    // around the timed reps (one ring write per phase span).
+    // Single-image SC passes run as one-image forwardBatch calls on a
+    // one-thread pool: the batch/single ratios below compare them with
+    // the one-thread batch point, so both sides get the same threads.
+    ThreadPool pool1(1);
+    const auto single = [&pool1](const core::ScNetwork &net,
+                                 const nn::Tensor &image, uint64_t seed,
+                                 const core::PredictOptions &opts,
+                                 core::ForwardInfo *info = nullptr) {
+        std::vector<core::ForwardInfo> infos;
+        net.forwardBatch({image}, {seed}, opts, &pool1,
+                         info != nullptr ? &infos : nullptr);
+        if (info != nullptr)
+            *info = infos[0];
+    };
+    const core::PredictOptions fused_opts; // EngineMode::Fused
+
+    // The per-phase breakdown comes from the tracing aggregate, and the
+    // per-(stage, phase) table from the rings, both armed around the
+    // timed reps (one ring write per phase span).
     obs::TraceRecorder &rec = obs::TraceRecorder::instance();
-    sc_net.setEngineMode(core::EngineMode::Fused);
-    sc_net.predict(img, 1); // warm-up
+    single(sc_net, img, 1, fused_opts); // warm-up
     rec.resetProfile();
+    rec.clear();
     rec.arm();
     auto t0 = std::chrono::steady_clock::now();
     for (size_t r = 0; r < fused_reps; ++r)
-        sc_net.predict(img, 2 + r);
+        single(sc_net, img, 2 + r, fused_opts);
     const double fused_ms = msSince(t0) / static_cast<double>(fused_reps);
     rec.disarm();
     const PhaseMs fused_phases = phaseMs(rec, fused_reps);
+    const std::vector<StagePhaseMs> stage_phases =
+        stagePhaseMs(rec, fused_reps);
 
-    sc_net.setEngineMode(core::EngineMode::Reference);
+    core::PredictOptions ref_opts;
+    ref_opts.mode = core::EngineMode::Reference;
     t0 = std::chrono::steady_clock::now();
     for (size_t r = 0; r < ref_reps; ++r)
-        sc_net.predict(img, 2 + r);
+        sc_net.predictWith(img, 2 + r, ref_opts);
     const double ref_ms = msSince(t0) / static_cast<double>(ref_reps);
 
     // Progressive precision at the configured margin. Untrained random
@@ -187,21 +249,23 @@ main()
     nn::Network decisive = net;
     nn::programDecisiveLogits(decisive);
     core::ScNetwork prog_net(decisive, cfg);
-    prog_net.setEngineMode(core::EngineMode::Progressive);
-    prog_net.predict(img, 1); // warm-up
+    core::PredictOptions prog_opts;
+    prog_opts.mode = core::EngineMode::Progressive;
+    prog_opts.progressive_margin = cfg.progressive_margin;
+    prog_opts.progressive_min_bits = cfg.progressive_min_bits;
+    single(prog_net, img, 1, prog_opts); // warm-up
     core::ForwardInfo prog_info;
     uint64_t prog_bits = 0;
     size_t prog_exits = 0;
     t0 = std::chrono::steady_clock::now();
     for (size_t r = 0; r < fused_reps; ++r) {
-        prog_net.predict(img, 2 + r, &prog_info);
+        single(prog_net, img, 2 + r, prog_opts, &prog_info);
         prog_bits += prog_info.effective_bits;
         prog_exits += prog_info.early_exit ? 1 : 0;
     }
     const double prog_ms = msSince(t0) / static_cast<double>(fused_reps);
     const double prog_avg_bits =
         static_cast<double>(prog_bits) / static_cast<double>(fused_reps);
-    sc_net.setEngineMode(core::EngineMode::Fused);
 
     // Binary XNOR-popcount sibling backend: one deterministic pass at
     // stream length 1, no sampling — far cheaper per image than any
@@ -267,8 +331,14 @@ main()
     std::printf("    %-26s %10.1f\n", "pooling", fused_phases.pooling);
     std::printf("    %-26s %10.1f\n", "activation",
                 fused_phases.activation);
-    std::printf("    %-26s %10.1f\n\n", "output layer",
+    std::printf("    %-26s %10.1f\n", "output layer",
                 fused_phases.output);
+    std::printf("  fused per-(stage, phase) breakdown (ms, summed over "
+                "threads):\n");
+    for (const StagePhaseMs &row : stage_phases)
+        std::printf("    stage %-2u %-17s %10.2f\n", row.stage,
+                    obs::spanName(row.phase), row.ms);
+    std::printf("\n");
     std::printf("  progressive (margin %.2f, min %zu bits):\n",
                 cfg.progressive_margin, cfg.progressive_min_bits);
     std::printf("    %-26s %10.1f ms (%.2fx vs fused)\n", "latency",
@@ -360,7 +430,7 @@ main()
     }
 
     // Batch-vs-single throughput ratio of the weight-stationary batch
-    // path (both sides on one thread, so the ratio isolates the
+    // path (both sides on pool1, so the ratio isolates the
     // kernel-level win — weight words streamed once per micro-batch —
     // from thread scaling). The reuse factor is the number of images
     // each weight-block load serves: the whole batch under the
@@ -402,13 +472,12 @@ main()
         std::printf("\nscenario topologies (fused single image + "
                     "%zu-image batch, 1 thread):\n",
                     batch_images);
-        ThreadPool pool1(1);
         for (Scenario &s : scenarios) {
             core::ScNetwork topo_net(s.net, cfg);
-            topo_net.predict(img, 1); // warm-up
+            single(topo_net, img, 1, fused_opts); // warm-up
             t0 = std::chrono::steady_clock::now();
             for (size_t r = 0; r < fused_reps; ++r)
-                topo_net.predict(img, 2 + r);
+                single(topo_net, img, 2 + r, fused_opts);
             const double ms =
                 msSince(t0) / static_cast<double>(fused_reps);
             t0 = std::chrono::steady_clock::now();
@@ -487,6 +556,16 @@ main()
                  fused_phases.activation);
     std::fprintf(f, "      \"output\": %.3f\n", fused_phases.output);
     std::fprintf(f, "    },\n");
+    std::fprintf(f, "    \"stage_phases\": [\n");
+    for (size_t i = 0; i < stage_phases.size(); ++i) {
+        const StagePhaseMs &row = stage_phases[i];
+        std::fprintf(f,
+                     "      {\"stage\": %u, \"phase\": \"%s\", "
+                     "\"ms\": %.3f}%s\n",
+                     row.stage, obs::spanName(row.phase), row.ms,
+                     i + 1 < stage_phases.size() ? "," : "");
+    }
+    std::fprintf(f, "    ],\n");
     std::fprintf(f, "    \"progressive\": {\n");
     std::fprintf(f, "      \"margin\": %.3f,\n", cfg.progressive_margin);
     std::fprintf(f, "      \"min_bits\": %zu,\n",

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "obs/trace.h"
@@ -10,6 +11,12 @@ namespace scdcnn {
 namespace {
 
 thread_local bool tls_in_worker = false;
+
+/** Chunks per pool worker in parallelForChunks: enough that a worker
+ *  running at a fraction of its speed delays the call by one small
+ *  chunk, few enough that per-chunk set-up (workspaces, span flushes)
+ *  stays negligible. */
+constexpr size_t kChunksPerWorker = 8;
 
 /** Pools whose jobs the current thread is executing right now, one
  *  entry per nesting level. drain() counts its own entries so a job
@@ -200,17 +207,17 @@ parallelForChunks(ThreadPool &pool, size_t begin, size_t end,
         return;
     }
 
-    const size_t n_chunks = std::min(n_workers, n);
+    // kChunksPerWorker chunks per worker, claimed in order from a shared
+    // cursor by one job per worker. A fixed one-chunk-per-worker split
+    // makes every call as slow as its slowest worker: a worker whose
+    // CPU is shared with another tenant (a busy sibling hyperthread, a
+    // preempted vCPU) ran its share at ~0.65x and held the whole call
+    // back ~1.5x; here it claims fewer chunks and the call waits at
+    // most for its last one.
+    const size_t n_chunks = std::min(n, n_workers * kChunksPerWorker);
     const size_t chunk = (n + n_chunks - 1) / n_chunks;
-    std::vector<std::pair<size_t, size_t>> ranges;
-    ranges.reserve(n_chunks);
-    for (size_t c = 0; c < n_chunks; ++c) {
-        const size_t lo = begin + c * chunk;
-        const size_t hi = std::min(end, lo + chunk);
-        if (lo >= hi)
-            break;
-        ranges.emplace_back(lo, hi);
-    }
+    const size_t n_jobs = std::min(n_workers, (n + chunk - 1) / chunk);
+    std::atomic<size_t> next{begin};
 
     // Per-call completion latch rather than pool.wait(): the global
     // in-flight count couples independent callers — under the serving
@@ -219,10 +226,15 @@ parallelForChunks(ThreadPool &pool, size_t begin, size_t end,
     // call's own chunks finished long ago.
     std::mutex m;
     std::condition_variable cv;
-    size_t remaining = ranges.size();
-    for (const auto &[lo, hi] : ranges) {
-        pool.submit([lo, hi, &chunk_body, &m, &cv, &remaining] {
-            chunk_body(lo, hi);
+    size_t remaining = n_jobs;
+    for (size_t j = 0; j < n_jobs; ++j) {
+        pool.submit([end, chunk, &next, &chunk_body, &m, &cv, &remaining] {
+            for (;;) {
+                const size_t lo = next.fetch_add(chunk);
+                if (lo >= end)
+                    break;
+                chunk_body(lo, std::min(end, lo + chunk));
+            }
             // Notify under the lock: once remaining hits 0 the waiter
             // may return and destroy cv, so the notify must complete
             // before the waiter can observe the final state.

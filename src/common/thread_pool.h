@@ -88,10 +88,9 @@ class ThreadPool
 /**
  * Run body(i) for i in [begin, end) across the global pool.
  *
- * Work is divided into contiguous chunks, one per worker, which suits the
- * mostly-uniform per-index cost of our workloads. Runs inline when the
- * range is tiny, the pool has one thread, or the caller is itself a pool
- * worker (nested parallelism).
+ * Work is divided into contiguous chunks as in parallelForChunks. Runs
+ * inline when the range is tiny, the pool has one thread, or the caller
+ * is itself a pool worker (nested parallelism).
  */
 void parallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)> &body);
@@ -102,10 +101,12 @@ void parallelFor(ThreadPool &pool, size_t begin, size_t end,
                  const std::function<void(size_t)> &body);
 
 /**
- * Run chunk(lo, hi) over contiguous sub-ranges of [begin, end), one
- * chunk per worker. The chunk body owns the whole sub-range, so it can
- * set up per-thread state (scratch workspaces) once and sweep — the
- * allocation-free contract of the fused network kernels.
+ * Run chunk(lo, hi) over contiguous sub-ranges of [begin, end): a few
+ * chunks per worker, which the workers claim in order as they finish,
+ * so a worker slowed by another tenant of its CPU takes fewer of them.
+ * The chunk body owns its whole sub-range, so it can set up scratch
+ * state (workspaces) once per chunk and sweep; results must not depend
+ * on where the chunk boundaries fall.
  */
 void parallelForChunks(size_t begin, size_t end,
                        const std::function<void(size_t, size_t)> &chunk);

@@ -28,14 +28,73 @@ checkOperands(const std::vector<BitstreamView> &xs,
     return len;
 }
 
+/** Approximate-counter parity lines of an n-line fold (0 = exact). */
+size_t
+parityLines(bool approximate, size_t n)
+{
+    return approximate
+               ? std::min(ApproxParallelCounter::kLsbParityLines, n)
+               : 0;
+}
+
+/**
+ * The scalar APC fold of one word: lines line(0 .. n) insert serially
+ * into the carry-save planes[0 .. kMaxCarrySavePlanes), which end up
+ * holding the canonical bit-planes of the column counts; @p lsb gets
+ * the parity of the first @p parity_lines lines. Returns the number of
+ * planes used. The twin of sc/simd.cc's Harley-Seal fold, by a
+ * different route (match lines, serial insertion), so the SIMD-vs-
+ * scalar tests compare two algorithms, not one.
+ */
+template <class Line>
+int
+foldWord(size_t n, size_t parity_lines, const Line &line, uint64_t *planes,
+         uint64_t &lsb)
+{
+    std::fill(planes, planes + kMaxCarrySavePlanes, uint64_t{0});
+    lsb = 0;
+    int used = 0;
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t carry = line(i);
+        if (i < parity_lines)
+            lsb ^= carry;
+        int p = 0;
+        while (carry != 0) {
+            SCDCNN_ASSERT(p < kMaxCarrySavePlanes,
+                          "too many input streams");
+            const uint64_t t = planes[p] & carry;
+            planes[p] ^= carry;
+            carry = t;
+            ++p;
+        }
+        used = std::max(used, p);
+    }
+    return used;
+}
+
+/** Counts emitter of the scalar fold: the first @p limit columns'
+ *  counts into out, the LSB replaced by the parity with @p approximate. */
+void
+spreadCounts(const uint64_t *planes, int used, uint64_t lsb,
+             bool approximate, size_t limit, uint16_t *out)
+{
+    for (size_t b = 0; b < limit; ++b) {
+        uint16_t c = 0;
+        for (int p = 0; p < used; ++p)
+            c |= static_cast<uint16_t>((planes[p] >> b) & 1) << p;
+        if (approximate)
+            c = static_cast<uint16_t>(
+                (c & ~uint16_t{1}) | static_cast<uint16_t>((lsb >> b) & 1));
+        out[b] = c;
+    }
+}
+
 /**
  * Carry-save vertical count over packed words. Lines are either the
  * raw streams (ws == nullptr) or the XNOR products xs[i] ^ ~ws[i],
- * formed word-by-word without materializing product streams. The
- * approximate-counter LSB (truncated parity of the leading lines) is
- * fused into the same word pass. Full 4-word blocks go through the
- * AVX2 plane loop when available; the scalar loop handles the rest
- * (and everything, when SIMD is off).
+ * formed word-by-word without materializing product streams. Full
+ * 4-word blocks go through the AVX2 fold when available; the scalar
+ * fold handles the rest (and everything, when SIMD is off).
  */
 void
 countsImpl(const std::vector<BitstreamView> &xs,
@@ -50,10 +109,7 @@ countsImpl(const std::vector<BitstreamView> &xs,
     const size_t tail = len % 64;
     const uint64_t tail_mask =
         tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines =
-        approximate
-            ? std::min(ApproxParallelCounter::kLsbParityLines, n)
-            : 0;
+    const size_t parity_lines = parityLines(approximate, n);
 
     size_t w_begin = 0;
     if (simd::enabled() && n >= 2)
@@ -64,39 +120,19 @@ countsImpl(const std::vector<BitstreamView> &xs,
     for (size_t w = w_begin; w < n_words; ++w) {
         const uint64_t word_mask =
             (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        uint64_t planes[kMaxCarrySavePlanes] = {0};
-        uint64_t lsb = 0;
-        int used = 0;
-        for (size_t i = 0; i < n; ++i) {
-            uint64_t carry = xs[i].words[w];
-            if (ws != nullptr)
-                carry = ~(carry ^ (*ws)[i].words[w]) & word_mask;
-            if (i < parity_lines)
-                lsb ^= carry;
-            int j = 0;
-            while (carry != 0) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                uint64_t t = planes[j] & carry;
-                planes[j] ^= carry;
-                carry = t;
-                ++j;
-            }
-            if (j > used)
-                used = j;
-        }
+        uint64_t planes[kMaxCarrySavePlanes];
+        uint64_t lsb;
+        const int used = foldWord(
+            n, parity_lines,
+            [&](size_t i) {
+                const uint64_t x = xs[i].words[w];
+                return ws == nullptr ? x
+                                     : ~(x ^ (*ws)[i].words[w]) & word_mask;
+            },
+            planes, lsb);
         const size_t base = w * 64;
-        const size_t limit = std::min<size_t>(64, len - base);
-        for (size_t b = 0; b < limit; ++b) {
-            uint16_t c = 0;
-            for (int j = 0; j < used; ++j)
-                c |= static_cast<uint16_t>((planes[j] >> b) & 1) << j;
-            if (approximate)
-                c = static_cast<uint16_t>(
-                    (c & ~uint16_t{1}) |
-                    static_cast<uint16_t>((lsb >> b) & 1));
-            out[base + b] = c;
-        }
+        spreadCounts(planes, used, lsb, approximate,
+                     std::min<size_t>(64, len - base), out.data() + base);
     }
 }
 
@@ -214,90 +250,60 @@ fusedProductCountTotalRange(const std::vector<BitstreamView> &xs,
 
 namespace {
 
-/** fusedProductCountsMultiBatch's word-outer loop over @p n_images
- *  images; image j's counts land at out[j * image_stride]. */
+/**
+ * The scalar twin of the AVX2 batch kernels over words [w, end_word):
+ * per (word, image, lane), word outer and image inner like the SIMD
+ * loop, foldWord over the lane's match lines (tail-word columns past
+ * the stream length masked to zero), handed to
+ * emit(word, position, lane, planes, used, lsb).
+ */
+template <class Emit>
 void
-countsMultiBatchWordOuter(const std::vector<BitstreamView> &xs0,
-                          const std::vector<size_t> &x_strides,
-                          const uint32_t *images, size_t n_images,
-                          const WeightBlockView &block, bool approximate,
-                          size_t begin_word, size_t end_word,
-                          uint16_t *out, size_t lane_stride,
-                          size_t image_stride)
+foldMultiBatchScalar(const std::vector<BitstreamView> &xs0,
+                     const std::vector<size_t> &x_strides,
+                     const uint32_t *images, size_t n_images,
+                     const WeightBlockView &block, size_t parity_lines,
+                     size_t w, size_t end_word, const Emit &emit)
 {
-    const size_t len = block.length;
-    const size_t n = xs0.size();
     const size_t n_words = block.wordCount();
-    const size_t tail = len % 64;
+    const size_t tail = block.length % 64;
     const uint64_t tail_mask =
         tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines =
-        approximate
-            ? std::min(ApproxParallelCounter::kLsbParityLines, n)
-            : 0;
-
-    size_t w = begin_word;
-    if (simd::enabled() && n >= 2)
-        w += simd::avx2ProductCountsMultiBatch(
-            xs0.data(), x_strides.data(), images, n_images, block,
-            parity_lines, begin_word, end_word, out, lane_stride,
-            image_stride);
-
-    // Weight-stationary loop order: word outer, image inner, taps
-    // innermost — the (word, tap) weight row is re-read from L1 for
-    // every image instead of re-streamed from memory per image.
     for (; w < end_word; ++w) {
         const uint64_t word_mask =
             (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        const uint64_t *wrow0 = block.at(w, 0);
-        const size_t base = (w - begin_word) * 64;
-        const size_t limit = std::min<size_t>(64, len - w * 64);
+        const uint64_t *wrow = block.at(w, 0);
         for (size_t j = 0; j < n_images; ++j) {
             const size_t img = images[j];
-            uint64_t planes[kFilterLanes][kMaxCarrySavePlanes] = {};
-            uint64_t lsbs[kFilterLanes] = {};
-            int used[kFilterLanes] = {};
-            const uint64_t *wrow = wrow0;
-            for (size_t i = 0; i < n; ++i, wrow += kFilterLanes) {
-                const uint64_t xw =
-                    xs0[i].words[img * x_strides[i] + w];
-                for (size_t f = 0; f < block.lanes; ++f) {
-                    uint64_t carry = ~(xw ^ wrow[f]) & word_mask;
-                    if (i < parity_lines)
-                        lsbs[f] ^= carry;
-                    int p = 0;
-                    while (carry != 0) {
-                        SCDCNN_ASSERT(p < kMaxCarrySavePlanes,
-                                      "too many input streams");
-                        uint64_t t = planes[f][p] & carry;
-                        planes[f][p] ^= carry;
-                        carry = t;
-                        ++p;
-                    }
-                    if (p > used[f])
-                        used[f] = p;
-                }
-            }
             for (size_t f = 0; f < block.lanes; ++f) {
-                uint16_t *dst =
-                    out + j * image_stride + f * lane_stride + base;
-                for (size_t b = 0; b < limit; ++b) {
-                    uint16_t c = 0;
-                    for (int p = 0; p < used[f]; ++p)
-                        c |= static_cast<uint16_t>(
-                                 (planes[f][p] >> b) & 1)
-                             << p;
-                    if (approximate)
-                        c = static_cast<uint16_t>(
-                            (c & ~uint16_t{1}) |
-                            static_cast<uint16_t>((lsbs[f] >> b) & 1));
-                    dst[b] = c;
-                }
+                uint64_t planes[kMaxCarrySavePlanes];
+                uint64_t lsb;
+                const int used = foldWord(
+                    block.taps, parity_lines,
+                    [&](size_t i) {
+                        const uint64_t xw =
+                            xs0[i].words[img * x_strides[i] + w];
+                        return ~(xw ^ wrow[i * kFilterLanes + f]) &
+                               word_mask;
+                    },
+                    planes, lsb);
+                emit(w, j, f, planes, used, lsb);
             }
         }
     }
 }
 
+void
+checkMultiBatchOperands(const std::vector<BitstreamView> &xs0,
+                        const std::vector<size_t> &x_strides,
+                        const WeightBlockView &block, size_t begin_word,
+                        size_t end_word)
+{
+    checkMultiOperands(xs0, block, begin_word, end_word);
+    SCDCNN_ASSERT(x_strides.size() == xs0.size(),
+                  "stride count %zu != operand count %zu",
+                  x_strides.size(), xs0.size());
+}
 
 } // namespace
 
@@ -310,33 +316,23 @@ fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
                              uint16_t *out, size_t lane_stride,
                              size_t image_stride)
 {
-    checkMultiOperands(xs0, block, begin_word, end_word);
-    SCDCNN_ASSERT(x_strides.size() == xs0.size(),
-                  "stride count %zu != operand count %zu",
-                  x_strides.size(), xs0.size());
-
-    // Loop-order choice by weight working set. When the block's weight
-    // slice fits in L1, "stationary" is a cache property, not a loop
-    // order: iterating images in the outer loop keeps the slice
-    // resident across the whole micro-batch anyway, and each image's
-    // input-window words stay L1-hot through its word loop (the
-    // word-outer order instead touches every image's window per word —
-    // taps * images words of footprint, which thrashes L1 for small
-    // conv blocks). Large slices (FC arenas, wide conv blocks) stream
-    // from memory, so there the word-outer order is what turns one
-    // weight read into n_images uses. Image-outer is the word-outer
-    // loop run one image at a time, so both orders address the
-    // operands in place and produce bit-identical counts.
-    const size_t slice_bytes = block.taps * kFilterLanes *
-                               (end_word - begin_word) * sizeof(uint64_t);
-    const size_t step =
-        slice_bytes <= kImageOuterSliceBytes ? 1 : n_images;
-    for (size_t j = 0; j < n_images; j += step)
-        countsMultiBatchWordOuter(xs0, x_strides, images + j,
-                                  std::min(step, n_images - j), block,
-                                  approximate, begin_word, end_word,
-                                  out + j * image_stride, lane_stride,
-                                  image_stride);
+    checkMultiBatchOperands(xs0, x_strides, block, begin_word, end_word);
+    const size_t parity_lines = parityLines(approximate, block.taps);
+    size_t w = begin_word;
+    if (simd::enabled() && block.taps >= 2)
+        w += simd::avx2ProductCountsMultiBatch(
+            xs0.data(), x_strides.data(), images, n_images, block,
+            parity_lines, begin_word, end_word, out, lane_stride,
+            image_stride);
+    foldMultiBatchScalar(
+        xs0, x_strides, images, n_images, block, parity_lines, w, end_word,
+        [&](size_t word, size_t j, size_t f, const uint64_t *planes,
+            int used, uint64_t lsb) {
+            spreadCounts(planes, used, lsb, approximate,
+                         std::min<size_t>(64, block.length - word * 64),
+                         out + j * image_stride + f * lane_stride +
+                             (word - begin_word) * 64);
+        });
 }
 
 size_t
@@ -344,88 +340,6 @@ planeCapForTaps(size_t taps)
 {
     return static_cast<size_t>(std::bit_width(taps));
 }
-
-namespace {
-
-/** fusedProductPlanesMultiBatch's word-outer loop over @p n_images
- *  images; image j's planes land at out[j * image_stride]. */
-void
-planesMultiBatchWordOuter(const std::vector<BitstreamView> &xs0,
-                          const std::vector<size_t> &x_strides,
-                          const uint32_t *images, size_t n_images,
-                          const WeightBlockView &block, bool approximate,
-                          size_t begin_word, size_t end_word,
-                          uint64_t *out, size_t plane_cap,
-                          size_t lane_stride, size_t image_stride)
-{
-    const size_t len = block.length;
-    const size_t n = xs0.size();
-    const size_t n_words = block.wordCount();
-    const size_t tail = len % 64;
-    const uint64_t tail_mask =
-        tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
-    const size_t parity_lines =
-        approximate
-            ? std::min(ApproxParallelCounter::kLsbParityLines, n)
-            : 0;
-
-    size_t w = begin_word;
-    if (simd::enabled() && n >= 2)
-        w += simd::avx2ProductPlanesMultiBatch(
-            xs0.data(), x_strides.data(), images, n_images, block,
-            parity_lines, begin_word, end_word, plane_cap, out,
-            lane_stride, image_stride);
-
-    for (; w < end_word; ++w) {
-        const uint64_t word_mask =
-            (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        const uint64_t *wrow0 = block.at(w, 0);
-        const size_t word_base = (w - begin_word) * (plane_cap + 1);
-        for (size_t j = 0; j < n_images; ++j) {
-            const size_t img = images[j];
-            uint64_t planes[kFilterLanes][kMaxCarrySavePlanes] = {};
-            uint64_t lsbs[kFilterLanes] = {};
-            int used[kFilterLanes] = {};
-            const uint64_t *wrow = wrow0;
-            for (size_t i = 0; i < n; ++i, wrow += kFilterLanes) {
-                const uint64_t xw =
-                    xs0[i].words[img * x_strides[i] + w];
-                for (size_t f = 0; f < block.lanes; ++f) {
-                    uint64_t carry = ~(xw ^ wrow[f]) & word_mask;
-                    if (i < parity_lines)
-                        lsbs[f] ^= carry;
-                    int p = 0;
-                    while (carry != 0) {
-                        SCDCNN_ASSERT(p < kMaxCarrySavePlanes,
-                                      "too many input streams");
-                        uint64_t t = planes[f][p] & carry;
-                        planes[f][p] ^= carry;
-                        carry = t;
-                        ++p;
-                    }
-                    if (p > used[f])
-                        used[f] = p;
-                }
-            }
-            for (size_t f = 0; f < block.lanes; ++f) {
-                SCDCNN_ASSERT(static_cast<size_t>(used[f]) <= plane_cap,
-                              "fold used %d planes, cap %zu", used[f],
-                              plane_cap);
-                uint64_t *dst =
-                    out + j * image_stride + f * lane_stride + word_base;
-                size_t p = 0;
-                for (; p < static_cast<size_t>(used[f]); ++p)
-                    dst[p] = planes[f][p];
-                for (; p < plane_cap; ++p)
-                    dst[p] = 0;
-                dst[plane_cap] = lsbs[f];
-            }
-        }
-    }
-}
-
-
-} // namespace
 
 void
 fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
@@ -436,25 +350,29 @@ fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                              uint64_t *out, size_t plane_cap,
                              size_t lane_stride, size_t image_stride)
 {
-    checkMultiOperands(xs0, block, begin_word, end_word);
-    SCDCNN_ASSERT(x_strides.size() == xs0.size(),
-                  "stride count %zu != operand count %zu",
-                  x_strides.size(), xs0.size());
+    checkMultiBatchOperands(xs0, x_strides, block, begin_word, end_word);
     SCDCNN_ASSERT(plane_cap >= planeCapForTaps(block.taps),
                   "plane cap %zu below width %zu for %zu taps", plane_cap,
                   planeCapForTaps(block.taps), block.taps);
-
-    // Same loop-order rule as fusedProductCountsMultiBatch.
-    const size_t slice_bytes = block.taps * kFilterLanes *
-                               (end_word - begin_word) * sizeof(uint64_t);
-    const size_t step =
-        slice_bytes <= kImageOuterSliceBytes ? 1 : n_images;
-    for (size_t j = 0; j < n_images; j += step)
-        planesMultiBatchWordOuter(xs0, x_strides, images + j,
-                                  std::min(step, n_images - j), block,
-                                  approximate, begin_word, end_word,
-                                  out + j * image_stride, plane_cap,
-                                  lane_stride, image_stride);
+    const size_t parity_lines = parityLines(approximate, block.taps);
+    size_t w = begin_word;
+    if (simd::enabled() && block.taps >= 2)
+        w += simd::avx2ProductPlanesMultiBatch(
+            xs0.data(), x_strides.data(), images, n_images, block,
+            parity_lines, begin_word, end_word, plane_cap, out,
+            lane_stride, image_stride);
+    foldMultiBatchScalar(
+        xs0, x_strides, images, n_images, block, parity_lines, w, end_word,
+        [&](size_t word, size_t j, size_t f, const uint64_t *planes,
+            int used, uint64_t lsb) {
+            SCDCNN_ASSERT(static_cast<size_t>(used) <= plane_cap,
+                          "fold used %d planes, cap %zu", used, plane_cap);
+            uint64_t *dst = out + j * image_stride + f * lane_stride +
+                            (word - begin_word) * (plane_cap + 1);
+            std::fill(dst, dst + plane_cap, uint64_t{0});
+            std::copy(planes, planes + used, dst);
+            dst[plane_cap] = lsb;
+        });
 }
 
 void

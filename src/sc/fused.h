@@ -241,15 +241,6 @@ void referenceBinaryPool4(const int32_t *windows, size_t n_pixels,
 // is how Progressive early exit removes an image mid-stream without
 // disturbing the others.
 
-/** Weight-slice size (bytes) below which the batch kernel runs images
- *  in the outer loop instead of words: a slice this small stays L1-
- *  resident across the whole micro-batch regardless of loop order, and
- *  image-outer keeps each image's input window L1-hot too (word-outer
- *  touches taps * images input words per word, which thrashes L1 for
- *  small conv blocks). Larger slices stream word-outer so each weight
- *  read is amortized over every image. */
-constexpr size_t kImageOuterSliceBytes = 32 * 1024;
-
 /**
  * Filter-blocked XNOR-multiply + parallel-counter column counts over a
  * word range for a micro-batch: for every active position j (image
@@ -260,9 +251,8 @@ constexpr size_t kImageOuterSliceBytes = 32 * 1024;
  * block.lanes lanes are written and lane_stride must cover the ranged
  * cycle count. With @p approximate the count LSB is the truncated
  * parity of the first four product lines (ApproxParallelCounter).
- * Dispatches to sc/simd.h's batch plane loop at runtime; weight slices
- * under kImageOuterSliceBytes take the image-outer order (bit-identical
- * counts either way).
+ * Dispatches to sc/simd.h's APC fold at runtime. The loop order is
+ * weight-stationary: word outer, image inner.
  */
 void fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
                                   const std::vector<size_t> &x_strides,
@@ -286,8 +276,7 @@ size_t planeCapForTaps(size_t taps);
  * plane_cap within the group. plane_cap must be >=
  * planeCapForTaps(block.taps). The max-pool path consumes this form:
  * segment sums come from plane popcounts and only the selected input
- * is ever transposed (see blocks::binaryMaxPoolPlanesBatch). Takes the
- * same adaptive loop order.
+ * is ever transposed (see blocks::binaryMaxPoolPlanesBatch).
  */
 void fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                                   const std::vector<size_t> &x_strides,

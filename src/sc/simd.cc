@@ -171,73 +171,218 @@ spreadBits16(uint16_t bits, __m256i lane_bit, short weight)
     return _mm256_and_si256(m, _mm256_set1_epi16(weight));
 }
 
-// --- branch-free carry-save adder tree --------------------------------
-//
-// The serial plane insertion of avx2ProductCountBlocks costs one
-// carry-propagation walk per line whose vectorized trip count is the
-// MAXIMUM trailing-carry length over all 256 bit columns (measured ~6
-// data-dependent iterations per line on network streams, each with a
-// testz + branch). The filter-blocked kernel instead reduces lines
-// through a balanced compressor tree with a fixed operation schedule:
-// 16 lines fold into 5 bit-planes in 87 bitwise ops (~5.4 per line),
-// and each folded block ripple-adds into the running plane accumulator.
-// No data-dependent branches survive in the hot loop.
-
-/** a + b over @p k bit-planes with carry-in 0; planes a[0..k) are
- *  replaced by the sum, the carry out of plane k-1 is returned. */
+/** Column counts of one 16-cycle group of a word's bit-planes: plane j
+ *  is pw[j * stride], and lane l of the result holds the count of
+ *  column 16 * group + l. With @p parity the count LSB is replaced by
+ *  that column's bit of the parity word pw[n_planes * stride] (the
+ *  approximate-counter substitution). */
 __attribute__((target("avx2"))) inline __m256i
-addPlanesK(__m256i *a, const __m256i *b, int k)
+spreadGroup(const uint64_t *pw, size_t stride, size_t n_planes,
+            bool parity, size_t group)
 {
-    // First full adder has no carry-in: 2 ops instead of 5.
-    __m256i carry = _mm256_and_si256(a[0], b[0]);
-    a[0] = _mm256_xor_si256(a[0], b[0]);
-    for (int j = 1; j < k; ++j) {
-        const __m256i t = _mm256_xor_si256(a[j], b[j]);
-        const __m256i g = _mm256_and_si256(a[j], b[j]);
-        a[j] = _mm256_xor_si256(t, carry);
-        carry = _mm256_or_si256(g, _mm256_and_si256(t, carry));
+    const __m256i lane_bit = _mm256_setr_epi16(
+        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
+        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
+        static_cast<short>(1 << 15));
+    __m256i acc = _mm256_setzero_si256();
+    for (size_t j = 0; j < n_planes; ++j) {
+        const auto bits =
+            static_cast<uint16_t>(pw[j * stride] >> (group * 16));
+        acc = _mm256_or_si256(
+            acc,
+            spreadBits16(bits, lane_bit, static_cast<short>(1 << j)));
     }
-    return carry;
+    if (parity) {
+        const auto bits =
+            static_cast<uint16_t>(pw[n_planes * stride] >> (group * 16));
+        acc = _mm256_or_si256(
+            _mm256_and_si256(acc,
+                             _mm256_set1_epi16(static_cast<short>(~1))),
+            spreadBits16(bits, lane_bit, 1));
+    }
+    return acc;
 }
 
-/**
- * Layers 2+ of the 16-line fold: eight (sum, carry) pairs — the first
- * half-adder layer over consecutive product-line pairs — reduce into
- * the 5 bit-planes of the 16 lines' column sums. The first layer is
- * split out so the fold loops can compute it as the products are
- * generated: two product lines at a time stay in registers, instead of
- * 16 live ymm values that the compiler must spill around the tree.
- */
+/** spreadGroup over all four groups: 64 counts into out[0..64). */
 __attribute__((target("avx2"))) inline void
-reduce16Pairs(const __m256i s[8], const __m256i c[8], __m256i out[5])
+spreadWord(const uint64_t *pw, size_t stride, size_t n_planes,
+           bool parity, uint16_t *out)
 {
-    // Two 2-bit sums -> one 3-bit sum, four times (planes s,c -> a0..a2).
-    __m256i a0[4], a1[4], a2[4];
-    for (int i = 0; i < 4; ++i) {
-        const __m256i g0 = _mm256_and_si256(s[2 * i], s[2 * i + 1]);
-        a0[i] = _mm256_xor_si256(s[2 * i], s[2 * i + 1]);
-        const __m256i t1 = _mm256_xor_si256(c[2 * i], c[2 * i + 1]);
-        a1[i] = _mm256_xor_si256(t1, g0);
-        a2[i] = _mm256_or_si256(_mm256_and_si256(c[2 * i], c[2 * i + 1]),
-                                _mm256_and_si256(t1, g0));
+    for (size_t g = 0; g < 4; ++g)
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(out + g * 16),
+            spreadGroup(pw, stride, n_planes, parity, g));
+}
+
+// --- The APC fold: mismatch lines through a Harley-Seal chain ---------
+//
+// One fold reduces n lines of 4 x 64 columns (four filter lanes of one
+// word, or four consecutive words of one stream) to the canonical
+// bit-planes of their column counts, plus the approximate counter's
+// parity word. Every AVX2 APC kernel is an emitter around it.
+//
+// - The fold counts *mismatch* lines x ^ w, so no line pays for the
+//   XNOR's complement; the match count c = n - m is formed once per
+//   fold by a bit-sliced borrow chain over planeCapForTaps(n) planes.
+// - Lines accumulate through a Harley-Seal carry-save chain: each 16
+//   lines feed the ones, twos, fours and eights planes through 15
+//   carry-save adders of 5 ops, and the sixteens carry ripples into the
+//   high planes at 2 ops per plane. With the 16 mismatch XORs that is
+//   91 vector ops + 2 per high plane per 16 lines (101 at LeNet5's
+//   conv2 fan-in of 501, 9 planes), against ~139 for the XNOR,
+//   compressor tree and 5-plane ripple it replaced. The schedule is
+//   fixed: no data-dependent branch remains in the hot loop.
+// - Leftover lines (n % 16) fold in pairs through one carry-save adder
+//   whose twos carry ripples up; an odd last line takes a half adder.
+// - The ones plane is the running XOR of every folded line, so the
+//   parity of the first min(4, n) lines is read off it as soon as they
+//   are in (ones starts at zero), and inverted when counting
+//   mismatches of an odd number of lines.
+
+/** Carry-save adder: a + b + c = lo + 2 * hi, per bit column. */
+__attribute__((target("avx2"))) inline void
+csa(__m256i &hi, __m256i &lo, __m256i a, __m256i b, __m256i c)
+{
+    const __m256i u = _mm256_xor_si256(a, b);
+    hi = _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(u, c));
+    lo = _mm256_xor_si256(u, c);
+}
+
+/** Half adder of @p carry into @p plane; carry becomes the carry-out. */
+__attribute__((target("avx2"))) inline void
+halfAdd(__m256i &plane, __m256i &carry)
+{
+    const __m256i t = _mm256_and_si256(plane, carry);
+    plane = _mm256_xor_si256(plane, carry);
+    carry = t;
+}
+
+/** Mismatch lines of the batch kernels: tap i's input word of one
+ *  image, broadcast, against the block's four lane words. */
+struct BatchLines
+{
+    const BitstreamView *xs0;
+    const size_t *x_strides;
+    size_t img;
+    size_t w;
+    const uint64_t *wrow;
+
+    __attribute__((target("avx2"))) __m256i operator()(size_t i) const
+    {
+        return _mm256_xor_si256(
+            _mm256_set1_epi64x(static_cast<long long>(
+                xs0[i].words[img * x_strides[i] + w])),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+                wrow + i * kFilterLanes)));
     }
-    // Two 3-bit sums -> one 4-bit sum, twice.
-    __m256i lo[4], hi[4];
-    for (int i = 0; i < 2; ++i) {
-        __m256i *dst = i == 0 ? lo : hi;
-        dst[0] = a0[2 * i];
-        dst[1] = a1[2 * i];
-        dst[2] = a2[2 * i];
-        const __m256i rhs[3] = {a0[2 * i + 1], a1[2 * i + 1],
-                                a2[2 * i + 1]};
-        dst[3] = addPlanesK(dst, rhs, 3);
+};
+
+/** Lines of the single-image kernel: four consecutive words of stream
+ *  i, raw (ws == nullptr) or as mismatches against ws[i]. */
+struct StreamLines
+{
+    const BitstreamView *xs;
+    const BitstreamView *ws;
+    size_t w;
+
+    __attribute__((target("avx2"))) __m256i operator()(size_t i) const
+    {
+        const __m256i x = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(xs[i].words + w));
+        if (ws == nullptr)
+            return x;
+        return _mm256_xor_si256(
+            x, _mm256_loadu_si256(
+                   reinterpret_cast<const __m256i *>(ws[i].words + w)));
     }
-    // The final pair: 4-bit + 4-bit -> 5 planes.
-    out[0] = lo[0];
-    out[1] = lo[1];
-    out[2] = lo[2];
-    out[3] = lo[3];
-    out[4] = addPlanesK(out, hi, 4);
+};
+
+/**
+ * The APC fold over lines line(0 .. n): pw[p][0..4) receives plane p
+ * of the column counts for p < n_planes = planeCapForTaps(n), and
+ * pw[n_planes] the parity of the first @p parity_lines counted lines
+ * (zero when parity_lines == 0). With @p mismatch the lines are
+ * mismatches and the planes and parity are those of the match lines.
+ */
+template <class Lines>
+__attribute__((target("avx2"))) inline void
+foldApc(const Lines &line, size_t n, size_t n_planes, size_t parity_lines,
+        bool mismatch, uint64_t (*pw)[4])
+{
+    const __m256i zero = _mm256_setzero_si256();
+    __m256i ones = zero, twos = zero, fours = zero, eights = zero;
+    __m256i lsb = zero;
+    __m256i high[kMaxCarrySavePlanes]; // planes 4 .. n_planes
+    for (size_t p = 4; p < n_planes; ++p)
+        high[p] = zero;
+    const auto carry_high = [&high, n_planes](__m256i carry)
+        __attribute__((target("avx2"))) {
+            for (size_t p = 4; p < n_planes; ++p)
+                halfAdd(high[p], carry);
+        };
+
+    size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        __m256i twos_a, twos_b, fours_a, fours_b, eights_a, eights_b;
+        __m256i sixteens;
+        csa(twos_a, ones, ones, line(i), line(i + 1));
+        csa(twos_b, ones, ones, line(i + 2), line(i + 3));
+        if (i == 0)
+            lsb = ones; // ones started at zero: lines 0..3's parity
+        csa(fours_a, twos, twos, twos_a, twos_b);
+        csa(twos_a, ones, ones, line(i + 4), line(i + 5));
+        csa(twos_b, ones, ones, line(i + 6), line(i + 7));
+        csa(fours_b, twos, twos, twos_a, twos_b);
+        csa(eights_a, fours, fours, fours_a, fours_b);
+        csa(twos_a, ones, ones, line(i + 8), line(i + 9));
+        csa(twos_b, ones, ones, line(i + 10), line(i + 11));
+        csa(fours_a, twos, twos, twos_a, twos_b);
+        csa(twos_a, ones, ones, line(i + 12), line(i + 13));
+        csa(twos_b, ones, ones, line(i + 14), line(i + 15));
+        csa(fours_b, twos, twos, twos_a, twos_b);
+        csa(eights_b, fours, fours, fours_a, fours_b);
+        csa(sixteens, eights, eights, eights_a, eights_b);
+        carry_high(sixteens);
+    }
+    for (; i < n; i += 2) {
+        __m256i carry;
+        if (i + 1 < n) {
+            csa(carry, ones, ones, line(i), line(i + 1));
+        } else {
+            carry = line(i);
+            halfAdd(ones, carry);
+        }
+        if (std::min(i + 2, n) == parity_lines)
+            lsb = ones; // n < 16: the first parity_lines lines are in
+        halfAdd(twos, carry);
+        halfAdd(fours, carry);
+        halfAdd(eights, carry);
+        carry_high(carry);
+    }
+
+    const __m256i low[4] = {ones, twos, fours, eights};
+    const __m256i all_ones = _mm256_set1_epi8(-1);
+    __m256i borrow = zero;
+    for (size_t p = 0; p < n_planes; ++p) {
+        __m256i plane = p < 4 ? low[p] : high[p];
+        if (mismatch) {
+            // Bit p of n - m, with the borrow of the planes below.
+            const __m256i m = plane;
+            plane = _mm256_xor_si256(m, borrow);
+            if ((n >> p) & 1) {
+                plane = _mm256_xor_si256(plane, all_ones);
+                borrow = _mm256_and_si256(m, borrow);
+            } else {
+                borrow = _mm256_or_si256(m, borrow);
+            }
+        }
+        _mm256_store_si256(reinterpret_cast<__m256i *>(pw[p]), plane);
+    }
+    if (parity_lines == 0)
+        lsb = zero;
+    else if (mismatch && (parity_lines & 1) != 0)
+        lsb = _mm256_xor_si256(lsb, all_ones);
+    _mm256_store_si256(reinterpret_cast<__m256i *>(pw[n_planes]), lsb);
 }
 
 } // namespace
@@ -250,77 +395,15 @@ avx2ProductCountBlocks(const BitstreamView *xs, const BitstreamView *ws,
     if (!enabled())
         return 0;
     const size_t n_full_words = (length / 256) * 4;
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
-
+    const size_t n_planes = planeCapForTaps(n);
+    SCDCNN_ASSERT(n_planes <= kMaxCarrySavePlanes, "too many input streams");
     for (size_t w = 0; w < n_full_words; w += 4) {
-        __m256i planes[kMaxCarrySavePlanes];
-        __m256i lsb = _mm256_setzero_si256();
-        int used = 0;
-        for (size_t i = 0; i < n; ++i) {
-            __m256i carry = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(xs[i].words + w));
-            if (ws != nullptr) {
-                const __m256i wv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(ws[i].words + w));
-                carry = _mm256_xor_si256(_mm256_xor_si256(carry, wv),
-                                         all_ones);
-            }
-            if (i < parity_lines)
-                lsb = _mm256_xor_si256(lsb, carry);
-            int j = 0;
-            while (!_mm256_testz_si256(carry, carry)) {
-                SCDCNN_ASSERT(j < kMaxCarrySavePlanes,
-                              "too many input streams");
-                if (j == used) {
-                    planes[used++] = carry;
-                    break;
-                }
-                const __m256i t = _mm256_and_si256(planes[j], carry);
-                planes[j] = _mm256_xor_si256(planes[j], carry);
-                carry = t;
-                ++j;
-            }
-        }
-
-        alignas(32) uint64_t pw[kMaxCarrySavePlanes][4];
-        for (int j = 0; j < used; ++j)
-            _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j]),
-                               planes[j]);
-        alignas(32) uint64_t lw[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lw), lsb);
-
-        // Transpose plane bits into per-cycle counts, 16 lanes at a
-        // time: lane l of a group holds bit (g*16 + l) of each plane.
-        for (int lane = 0; lane < 4; ++lane) {
-            for (int g = 0; g < 4; ++g) {
-                __m256i acc = _mm256_setzero_si256();
-                for (int j = 0; j < used; ++j) {
-                    const auto bits = static_cast<uint16_t>(
-                        pw[j][lane] >> (g * 16));
-                    acc = _mm256_or_si256(
-                        acc, spreadBits16(bits, lane_bit,
-                                          static_cast<short>(1 << j)));
-                }
-                if (parity_lines > 0) {
-                    const auto bits =
-                        static_cast<uint16_t>(lw[lane] >> (g * 16));
-                    acc = _mm256_or_si256(
-                        _mm256_and_si256(
-                            acc, _mm256_set1_epi16(
-                                     static_cast<short>(~1))),
-                        spreadBits16(bits, lane_bit, 1));
-                }
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(
-                        out + (w + static_cast<size_t>(lane)) * 64 +
-                        static_cast<size_t>(g) * 16),
-                    acc);
-            }
-        }
+        alignas(32) uint64_t pw[kMaxCarrySavePlanes + 1][4];
+        foldApc(StreamLines{xs, ws, w}, n, n_planes, parity_lines,
+                ws != nullptr, pw);
+        for (size_t lane = 0; lane < 4; ++lane)
+            spreadWord(&pw[0][lane], 4, n_planes, parity_lines > 0,
+                       out + (w + lane) * 64);
     }
     return n_full_words;
 }
@@ -341,203 +424,22 @@ avx2ProductCountsMultiBatch(const BitstreamView *xs0,
     const size_t full_end = std::min(end_word, block.length / 64);
     if (full_end <= begin_word)
         return 0;
-    const size_t n = block.taps;
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
-
-    // Weight-stationary loop order: word outer, image inner. The
-    // weight row for word w (taps x kFilterLanes contiguous words) is
-    // streamed once and re-read from cache for every image in the
-    // micro-batch instead of re-fetched from memory per image. Per
-    // (word, image), one plane set serves the whole filter block:
-    // 64-bit lane f of each plane vector holds filter f's carry-save
-    // plane. Input words broadcast once; the block's weight words for
-    // (w, tap) are one contiguous vector load. Lines fold through the
-    // fixed-schedule compressor tree 16 at a time (product pairs feed
-    // the tree's first half-adder layer as they are generated); the
-    // leftovers take the serial plane insertion.
+    const size_t n_planes = planeCapForTaps(block.taps);
+    SCDCNN_ASSERT(n_planes <= kMaxCarrySavePlanes, "too many input streams");
+    // Weight-stationary loop order: word outer, image inner, so the
+    // block's weight row for word w (taps x kFilterLanes contiguous
+    // words) is re-read from cache for every image of the micro-batch.
     for (size_t w = begin_word; w < full_end; ++w) {
-        const uint64_t *wrow0 = block.at(w, 0);
         const size_t out_base = (w - begin_word) * 64;
         for (size_t j = 0; j < n_images; ++j) {
-            const size_t img = images[j];
-            __m256i planes[kMaxCarrySavePlanes];
-            __m256i lsb = _mm256_setzero_si256();
-            int used = 0;
-            const uint64_t *wrow = wrow0;
-            __m256i s[8], c[8];
-            size_t i = 0;
-            for (; i + 16 <= n; i += 16, wrow += 16 * kFilterLanes) {
-                for (int r = 0; r < 8; ++r) {
-                    const size_t ta = i + 2 * static_cast<size_t>(r);
-                    const __m256i xa =
-                        _mm256_set1_epi64x(static_cast<long long>(
-                            xs0[ta].words[img * x_strides[ta] + w]));
-                    const __m256i wa = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow +
-                            2 * static_cast<size_t>(r) * kFilterLanes));
-                    const __m256i pa = _mm256_xor_si256(
-                        _mm256_xor_si256(xa, wa), all_ones);
-                    const __m256i xb =
-                        _mm256_set1_epi64x(static_cast<long long>(
-                            xs0[ta + 1]
-                                .words[img * x_strides[ta + 1] + w]));
-                    const __m256i wb = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (2 * static_cast<size_t>(r) + 1) *
-                                       kFilterLanes));
-                    const __m256i pb = _mm256_xor_si256(
-                        _mm256_xor_si256(xb, wb), all_ones);
-                    if (ta < parity_lines)
-                        lsb = _mm256_xor_si256(lsb, pa);
-                    if (ta + 1 < parity_lines)
-                        lsb = _mm256_xor_si256(lsb, pb);
-                    s[r] = _mm256_xor_si256(pa, pb);
-                    c[r] = _mm256_and_si256(pa, pb);
-                }
-                __m256i folded[5];
-                reduce16Pairs(s, c, folded);
-                if (used == 0) {
-                    for (int j2 = 0; j2 < 5; ++j2)
-                        planes[j2] = folded[j2];
-                    used = 5;
-                } else {
-                    __m256i carry = addPlanesK(planes, folded, 5);
-                    int j2 = 5;
-                    while (!_mm256_testz_si256(carry, carry)) {
-                        SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                      "too many input streams");
-                        if (j2 == used) {
-                            planes[used++] = carry;
-                            break;
-                        }
-                        const __m256i t =
-                            _mm256_and_si256(planes[j2], carry);
-                        planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                        carry = t;
-                        ++j2;
-                    }
-                }
-            }
-            // Zero-padded final block: once a full block has folded
-            // (used >= 5, so the accumulator holds 5+ planes and taps
-            // >= 16 keeps the plane cap at 5+), a tail of 6 or more
-            // lines runs through the same fixed-schedule tree with zero
-            // lines in the missing slots. Zero lines add nothing to any
-            // column count, so the fold is bit-identical to the serial
-            // insertion it replaces — at tree ILP instead of a ripple
-            // walk per line.
-            if (n >= 16 && n - i >= 6 && parity_lines <= i) {
-                for (int r = 0; r < 8; ++r) {
-                    const size_t ta = i + 2 * static_cast<size_t>(r);
-                    __m256i pa = _mm256_setzero_si256();
-                    __m256i pb = _mm256_setzero_si256();
-                    if (ta < n) {
-                        const __m256i xa =
-                            _mm256_set1_epi64x(static_cast<long long>(
-                                xs0[ta].words[img * x_strides[ta] + w]));
-                        const __m256i wa = _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i *>(
-                                wrow + (ta - i) * kFilterLanes));
-                        pa = _mm256_xor_si256(_mm256_xor_si256(xa, wa),
-                                              all_ones);
-                    }
-                    if (ta + 1 < n) {
-                        const __m256i xb =
-                            _mm256_set1_epi64x(static_cast<long long>(
-                                xs0[ta + 1]
-                                    .words[img * x_strides[ta + 1] + w]));
-                        const __m256i wb = _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i *>(
-                                wrow + (ta + 1 - i) * kFilterLanes));
-                        pb = _mm256_xor_si256(_mm256_xor_si256(xb, wb),
-                                              all_ones);
-                    }
-                    s[r] = _mm256_xor_si256(pa, pb);
-                    c[r] = _mm256_and_si256(pa, pb);
-                }
-                __m256i folded[5];
-                reduce16Pairs(s, c, folded);
-                __m256i carry = addPlanesK(planes, folded, 5);
-                int j2 = 5;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j2 == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j2], carry);
-                    planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                    carry = t;
-                    ++j2;
-                }
-                i = n;
-            }
-            for (; i < n; ++i, wrow += kFilterLanes) {
-                const __m256i xv = _mm256_set1_epi64x(
-                    static_cast<long long>(
-                        xs0[i].words[img * x_strides[i] + w]));
-                const __m256i wv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(wrow));
-                __m256i carry = _mm256_xor_si256(
-                    _mm256_xor_si256(xv, wv), all_ones);
-                if (i < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, carry);
-                int j2 = 0;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j2 == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j2], carry);
-                    planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                    carry = t;
-                    ++j2;
-                }
-            }
-
-            alignas(32) uint64_t pw[kMaxCarrySavePlanes][4];
-            for (int j2 = 0; j2 < used; ++j2)
-                _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j2]),
-                                   planes[j2]);
-            alignas(32) uint64_t lw[4];
-            _mm256_store_si256(reinterpret_cast<__m256i *>(lw), lsb);
-
-            uint16_t *img_out = out + j * image_stride;
-            for (size_t f = 0; f < block.lanes; ++f) {
-                for (int g = 0; g < 4; ++g) {
-                    __m256i acc = _mm256_setzero_si256();
-                    for (int j2 = 0; j2 < used; ++j2) {
-                        const auto bits = static_cast<uint16_t>(
-                            pw[j2][f] >> (g * 16));
-                        acc = _mm256_or_si256(
-                            acc,
-                            spreadBits16(bits, lane_bit,
-                                         static_cast<short>(1 << j2)));
-                    }
-                    if (parity_lines > 0) {
-                        const auto bits =
-                            static_cast<uint16_t>(lw[f] >> (g * 16));
-                        acc = _mm256_or_si256(
-                            _mm256_and_si256(
-                                acc, _mm256_set1_epi16(
-                                         static_cast<short>(~1))),
-                            spreadBits16(bits, lane_bit, 1));
-                    }
-                    _mm256_storeu_si256(
-                        reinterpret_cast<__m256i *>(
-                            img_out + f * lane_stride + out_base +
-                            static_cast<size_t>(g) * 16),
-                        acc);
-                }
-            }
+            alignas(32) uint64_t pw[kMaxCarrySavePlanes + 1][4];
+            foldApc(BatchLines{xs0, x_strides, images[j], w,
+                               block.at(w, 0)},
+                    block.taps, n_planes, parity_lines, true, pw);
+            uint16_t *dst = out + j * image_stride + out_base;
+            for (size_t f = 0; f < block.lanes; ++f)
+                spreadWord(&pw[0][f], kFilterLanes, n_planes,
+                           parity_lines > 0, dst + f * lane_stride);
         }
     }
     return full_end - begin_word;
@@ -557,200 +459,32 @@ avx2ProductPlanesMultiBatch(const BitstreamView *xs0,
     const size_t full_end = std::min(end_word, block.length / 64);
     if (full_end <= begin_word)
         return 0;
-    const size_t n = block.taps;
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-
+    const size_t n_planes = planeCapForTaps(block.taps);
+    SCDCNN_ASSERT(n_planes <= kMaxCarrySavePlanes, "too many input streams");
+    SCDCNN_ASSERT(n_planes <= plane_cap, "fold needs %zu planes, cap %zu",
+                  n_planes, plane_cap);
     // Weight-stationary order as in avx2ProductCountsMultiBatch; the
-    // transpose tail is replaced by plane stores.
+    // transpose is replaced by plane stores.
     for (size_t w = begin_word; w < full_end; ++w) {
-        const uint64_t *wrow0 = block.at(w, 0);
         const size_t word_base = (w - begin_word) * (plane_cap + 1);
         for (size_t j = 0; j < n_images; ++j) {
-            const size_t img = images[j];
-            __m256i planes[kMaxCarrySavePlanes];
-            __m256i lsb = _mm256_setzero_si256();
-            int used = 0;
-            const uint64_t *wrow = wrow0;
-            __m256i s[8], c[8];
-            size_t i = 0;
-            for (; i + 16 <= n; i += 16, wrow += 16 * kFilterLanes) {
-                for (int r = 0; r < 8; ++r) {
-                    const size_t ta = i + 2 * static_cast<size_t>(r);
-                    const __m256i xa =
-                        _mm256_set1_epi64x(static_cast<long long>(
-                            xs0[ta].words[img * x_strides[ta] + w]));
-                    const __m256i wa = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow +
-                            2 * static_cast<size_t>(r) * kFilterLanes));
-                    const __m256i pa = _mm256_xor_si256(
-                        _mm256_xor_si256(xa, wa), all_ones);
-                    const __m256i xb =
-                        _mm256_set1_epi64x(static_cast<long long>(
-                            xs0[ta + 1]
-                                .words[img * x_strides[ta + 1] + w]));
-                    const __m256i wb = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(
-                            wrow + (2 * static_cast<size_t>(r) + 1) *
-                                       kFilterLanes));
-                    const __m256i pb = _mm256_xor_si256(
-                        _mm256_xor_si256(xb, wb), all_ones);
-                    if (ta < parity_lines)
-                        lsb = _mm256_xor_si256(lsb, pa);
-                    if (ta + 1 < parity_lines)
-                        lsb = _mm256_xor_si256(lsb, pb);
-                    s[r] = _mm256_xor_si256(pa, pb);
-                    c[r] = _mm256_and_si256(pa, pb);
-                }
-                __m256i folded[5];
-                reduce16Pairs(s, c, folded);
-                if (used == 0) {
-                    for (int j2 = 0; j2 < 5; ++j2)
-                        planes[j2] = folded[j2];
-                    used = 5;
-                } else {
-                    __m256i carry = addPlanesK(planes, folded, 5);
-                    int j2 = 5;
-                    while (!_mm256_testz_si256(carry, carry)) {
-                        SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                      "too many input streams");
-                        if (j2 == used) {
-                            planes[used++] = carry;
-                            break;
-                        }
-                        const __m256i t =
-                            _mm256_and_si256(planes[j2], carry);
-                        planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                        carry = t;
-                        ++j2;
-                    }
-                }
-            }
-            // Zero-padded final block (see
-            // avx2ProductCountsMultiBatch).
-            if (n >= 16 && n - i >= 6 && parity_lines <= i) {
-                for (int r = 0; r < 8; ++r) {
-                    const size_t ta = i + 2 * static_cast<size_t>(r);
-                    __m256i pa = _mm256_setzero_si256();
-                    __m256i pb = _mm256_setzero_si256();
-                    if (ta < n) {
-                        const __m256i xa =
-                            _mm256_set1_epi64x(static_cast<long long>(
-                                xs0[ta].words[img * x_strides[ta] + w]));
-                        const __m256i wa = _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i *>(
-                                wrow + (ta - i) * kFilterLanes));
-                        pa = _mm256_xor_si256(_mm256_xor_si256(xa, wa),
-                                              all_ones);
-                    }
-                    if (ta + 1 < n) {
-                        const __m256i xb =
-                            _mm256_set1_epi64x(static_cast<long long>(
-                                xs0[ta + 1]
-                                    .words[img * x_strides[ta + 1] + w]));
-                        const __m256i wb = _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i *>(
-                                wrow + (ta + 1 - i) * kFilterLanes));
-                        pb = _mm256_xor_si256(_mm256_xor_si256(xb, wb),
-                                              all_ones);
-                    }
-                    s[r] = _mm256_xor_si256(pa, pb);
-                    c[r] = _mm256_and_si256(pa, pb);
-                }
-                __m256i folded[5];
-                reduce16Pairs(s, c, folded);
-                __m256i carry = addPlanesK(planes, folded, 5);
-                int j2 = 5;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j2 == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j2], carry);
-                    planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                    carry = t;
-                    ++j2;
-                }
-                i = n;
-            }
-            for (; i < n; ++i, wrow += kFilterLanes) {
-                const __m256i xv = _mm256_set1_epi64x(
-                    static_cast<long long>(
-                        xs0[i].words[img * x_strides[i] + w]));
-                const __m256i wv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(wrow));
-                __m256i carry = _mm256_xor_si256(
-                    _mm256_xor_si256(xv, wv), all_ones);
-                if (i < parity_lines)
-                    lsb = _mm256_xor_si256(lsb, carry);
-                int j2 = 0;
-                while (!_mm256_testz_si256(carry, carry)) {
-                    SCDCNN_ASSERT(j2 < kMaxCarrySavePlanes,
-                                  "too many input streams");
-                    if (j2 == used) {
-                        planes[used++] = carry;
-                        break;
-                    }
-                    const __m256i t = _mm256_and_si256(planes[j2], carry);
-                    planes[j2] = _mm256_xor_si256(planes[j2], carry);
-                    carry = t;
-                    ++j2;
-                }
-            }
-            SCDCNN_ASSERT(static_cast<size_t>(used) <= plane_cap,
-                          "fold used %d planes, cap %zu", used, plane_cap);
-
-            alignas(32) uint64_t pw[kMaxCarrySavePlanes][4];
-            for (int j2 = 0; j2 < used; ++j2)
-                _mm256_store_si256(reinterpret_cast<__m256i *>(pw[j2]),
-                                   planes[j2]);
-            alignas(32) uint64_t lw[4];
-            _mm256_store_si256(reinterpret_cast<__m256i *>(lw), lsb);
-
-            uint64_t *img_out = out + j * image_stride;
+            alignas(32) uint64_t pw[kMaxCarrySavePlanes + 1][4];
+            foldApc(BatchLines{xs0, x_strides, images[j], w,
+                               block.at(w, 0)},
+                    block.taps, n_planes, parity_lines, true, pw);
+            uint64_t *img_out = out + j * image_stride + word_base;
             for (size_t f = 0; f < block.lanes; ++f) {
-                uint64_t *dst = img_out + f * lane_stride + word_base;
+                uint64_t *dst = img_out + f * lane_stride;
                 size_t p = 0;
-                for (; p < static_cast<size_t>(used); ++p)
+                for (; p < n_planes; ++p)
                     dst[p] = pw[p][f];
                 for (; p < plane_cap; ++p)
                     dst[p] = 0;
-                dst[plane_cap] = lw[f];
+                dst[plane_cap] = pw[n_planes][f];
             }
         }
     }
     return full_end - begin_word;
-}
-
-__attribute__((target("avx2"))) static void
-avx2SpreadPlanesWordImpl(const uint64_t *pw, size_t n_planes, bool parity,
-                         uint16_t *out)
-{
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
-    for (int g = 0; g < 4; ++g) {
-        __m256i acc = _mm256_setzero_si256();
-        for (size_t j = 0; j < n_planes; ++j) {
-            const auto bits = static_cast<uint16_t>(pw[j] >> (g * 16));
-            acc = _mm256_or_si256(
-                acc, spreadBits16(bits, lane_bit,
-                                  static_cast<short>(1 << j)));
-        }
-        if (parity) {
-            const auto bits =
-                static_cast<uint16_t>(pw[n_planes] >> (g * 16));
-            acc = _mm256_or_si256(
-                _mm256_and_si256(
-                    acc, _mm256_set1_epi16(static_cast<short>(~1))),
-                spreadBits16(bits, lane_bit, 1));
-        }
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(out + g * 16), acc);
-    }
 }
 
 void
@@ -759,45 +493,19 @@ avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes, bool parity,
 {
     SCDCNN_ASSERT(n_planes < 16, "plane count %zu too large", n_planes);
     if (enabled()) {
-        avx2SpreadPlanesWordImpl(pw, n_planes, parity, out);
+        spreadWord(pw, 1, n_planes, parity, out);
         return;
     }
-    for (size_t b = 0; b < 64; ++b) {
-        uint16_t c = 0;
-        for (size_t j = 0; j < n_planes; ++j)
-            c |= static_cast<uint16_t>((pw[j] >> b) & 1) << j;
-        if (parity)
-            c = static_cast<uint16_t>(
-                (c & ~uint16_t{1}) |
-                static_cast<uint16_t>((pw[n_planes] >> b) & 1));
-        out[b] = c;
-    }
+    for (size_t g = 0; g < 4; ++g)
+        spreadPlanesGroupScalar(pw, n_planes, parity, g, out + g * 16);
 }
 
 __attribute__((target("avx2"))) static void
 avx2SpreadPlanesGroupImpl(const uint64_t *pw, size_t n_planes,
                           bool parity, size_t group, uint16_t *out)
 {
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
-    __m256i acc = _mm256_setzero_si256();
-    for (size_t j = 0; j < n_planes; ++j) {
-        const auto bits = static_cast<uint16_t>(pw[j] >> (group * 16));
-        acc = _mm256_or_si256(
-            acc,
-            spreadBits16(bits, lane_bit, static_cast<short>(1 << j)));
-    }
-    if (parity) {
-        const auto bits =
-            static_cast<uint16_t>(pw[n_planes] >> (group * 16));
-        acc = _mm256_or_si256(
-            _mm256_and_si256(acc,
-                             _mm256_set1_epi16(static_cast<short>(~1))),
-            spreadBits16(bits, lane_bit, 1));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), acc);
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out),
+                        spreadGroup(pw, 1, n_planes, parity, group));
 }
 
 void
@@ -1187,16 +895,8 @@ void
 avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes, bool parity,
                      uint16_t *out)
 {
-    for (size_t b = 0; b < 64; ++b) {
-        uint16_t c = 0;
-        for (size_t j = 0; j < n_planes; ++j)
-            c |= static_cast<uint16_t>((pw[j] >> b) & 1) << j;
-        if (parity)
-            c = static_cast<uint16_t>(
-                (c & ~uint16_t{1}) |
-                static_cast<uint16_t>((pw[n_planes] >> b) & 1));
-        out[b] = c;
-    }
+    for (size_t g = 0; g < 4; ++g)
+        spreadPlanesGroupScalar(pw, n_planes, parity, g, out + g * 16);
 }
 
 void

@@ -9,9 +9,12 @@
  * dispatch rule DESIGN.md documents, enforced by tests/test_simd.cc).
  *
  * Kernels:
- *  - avx2ProductCountBlocks: the carry-save bit-plane loop of
- *    fusedProductCounts over blocks of four words (256 cycles) at a
- *    time, including the vectorized plane-to-count transpose;
+ *  - avx2ProductCountBlocks, avx2Product{Counts,Planes}MultiBatch: thin
+ *    emitters around one APC fold (simd.cc) that counts mismatch lines
+ *    x ^ w through a Harley-Seal carry-save chain — 91 vector ops + 2
+ *    per high plane per 16 lines — and converts to match counts
+ *    c = n - m once per fold; the emitters transpose the planes to
+ *    uint16 counts or store them as planes;
  *  - avx2ProductCountTotal: the popcount reductions of
  *    fusedProductCountTotal (nibble-LUT shuffle + psadbw);
  *  - avx2SumU16: the segment accumulation of the masked binary
@@ -48,12 +51,13 @@ bool enabled();
 void setEnabled(bool on);
 
 /**
- * Carry-save column counts over full 4-word blocks of the operand
- * views: processes words [0, W) where W is the largest multiple of 4
- * with W * 64 <= length, writing counts for cycles [0, W * 64) into
- * @p out. Lines are xs[i] when ws == nullptr, else the XNOR products
- * xs[i] ^~ ws[i]. The approximate-counter LSB (parity of the first
- * @p parity_lines lines) is fused in when parity_lines > 0.
+ * APC fold column counts over full 4-word blocks of the operand views
+ * (the four 64-bit vector lanes are four consecutive words): processes
+ * words [0, W) where W is the largest multiple of 4 with W * 64 <=
+ * length, writing counts for cycles [0, W * 64) into @p out. Lines are
+ * xs[i] when ws == nullptr, else the XNOR products xs[i] ^~ ws[i]. The
+ * approximate-counter LSB (parity of the first @p parity_lines lines)
+ * is fused in when parity_lines > 0.
  *
  * @return the number of words processed (the scalar caller continues
  *         from there); 0 when AVX2 is not enabled.
@@ -64,15 +68,15 @@ size_t avx2ProductCountBlocks(const BitstreamView *xs,
                               uint16_t *out);
 
 /**
- * Filter-blocked, batch-axis (weight-stationary) carry-save column
- * counts: for every full word of [@p begin_word, @p end_word) (a word
- * is full when all 64 of its cycles lie inside block.length), the
- * block's weight row (taps x kFilterLanes words) is loaded once and
- * folded against the corresponding input-window words of every active
- * image before advancing, so the weight slice stays cache-resident
- * across the micro-batch. Each input word is XNORed against the
- * kFilterLanes weight words with the filters in the 64-bit vector
- * lanes, so one carry-save plane set serves the whole filter block.
+ * Filter-blocked, batch-axis (weight-stationary) APC column counts:
+ * for every full word of [@p begin_word, @p end_word) (a word is full
+ * when all 64 of its cycles lie inside block.length), the block's
+ * weight row (taps x kFilterLanes words) is folded against the
+ * corresponding input-window words of every active image before
+ * advancing, so the weight slice stays cache-resident across the
+ * micro-batch. Each input word is broadcast against the kFilterLanes
+ * weight words with the filters in the 64-bit vector lanes, so one
+ * fold serves the whole filter block.
  * Image j's operand for tap i is the image-0 view shifted by whole
  * words: xs0[i].words + images[j] * x_strides[i] (stride 0 shares a
  * line, e.g. the bias stream). Counts for active position j, lane f,
@@ -94,14 +98,13 @@ size_t avx2ProductCountsMultiBatch(const BitstreamView *xs0,
                                    size_t image_stride);
 
 /**
- * Plane-emitting variant of avx2ProductCountsMultiBatch: identical
- * carry-save fold, but the per-word result is stored as the canonical
- * bit-planes of the column counts instead of being transposed into
- * per-cycle uint16 counts. For image j, lane f, range-local word q,
- * the @p plane_cap planes land at out[j * image_stride + f *
- * lane_stride + q * (plane_cap+1) + p] (planes above the fold's high
- * plane are zeroed) and the leading-lines parity word at index
- * plane_cap. Skipping the transpose matters when only segment sums of
+ * Plane-emitting variant of avx2ProductCountsMultiBatch: the same
+ * fold, but the per-word result is stored as the canonical bit-planes
+ * of the column counts instead of being transposed into per-cycle
+ * uint16 counts. For image j, lane f, range-local word q, the
+ * @p plane_cap planes land at out[j * image_stride + f * lane_stride +
+ * q * (plane_cap+1) + p] (planes at or above planeCapForTaps(taps) are
+ * zeroed) and the leading-lines parity word at index plane_cap. Skipping the transpose matters when only segment sums of
  * most lanes' counts are consumed (the Figure 8 selector's losing
  * inputs): sums follow from plane popcounts, and per-cycle counts can
  * be recovered exactly for the one selected input via

@@ -73,7 +73,7 @@ struct BatchOperands
 TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
 {
     constexpr size_t kImages = 4;
-    // Tap counts straddling the 16-line compressor tile (plus the
+    // Tap counts straddling the 16-line Harley-Seal group (plus the
     // bias line), filter counts producing full and ragged lane blocks,
     // and a stream length with a partial tail word.
     for (size_t n_taps : {size_t{4}, size_t{17}, size_t{36}}) {

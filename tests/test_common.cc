@@ -3,9 +3,13 @@
  * Tests for the shared infrastructure: thread pool and table printer.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,6 +132,62 @@ TEST(ParallelFor, SmallRangeRunsInline)
     std::vector<int> hits(3, 0);
     parallelFor(0, 3, [&hits](size_t i) { hits[i] += 1; });
     EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
+}
+
+TEST(ParallelForChunks, ChunksTileTheRangeOnEveryPoolWidth)
+{
+    for (size_t width : {2, 3, 4}) {
+        ThreadPool pool(width);
+        for (size_t n : {2, 5, 31, 32, 33, 1000}) {
+            const size_t begin = 7;
+            std::mutex m;
+            std::vector<std::pair<size_t, size_t>> chunks;
+            parallelForChunks(pool, begin, begin + n,
+                              [&](size_t lo, size_t hi) {
+                                  std::lock_guard<std::mutex> lk(m);
+                                  chunks.emplace_back(lo, hi);
+                              });
+            std::sort(chunks.begin(), chunks.end());
+            ASSERT_FALSE(chunks.empty());
+            EXPECT_LE(chunks.size(), width * 8) << width << " " << n;
+            size_t at = begin;
+            for (const auto &[lo, hi] : chunks) {
+                EXPECT_EQ(lo, at) << width << " " << n;
+                EXPECT_LT(lo, hi);
+                at = hi;
+            }
+            EXPECT_EQ(at, begin + n) << width << " " << n;
+        }
+    }
+}
+
+TEST(ParallelForChunks, StalledWorkerLeavesTheRestToOthers)
+{
+    // The first chunk stalls until three quarters of the range has run
+    // elsewhere, as a worker on a CPU shared with another tenant would.
+    // With one fixed half per worker the other worker could only ever
+    // run a half; with chunks claimed as workers free up, it takes
+    // every chunk but the stalled one.
+    ThreadPool pool(2);
+    const size_t n = 64;
+    std::atomic<size_t> done{0};
+    std::atomic<bool> timed_out{false};
+    parallelForChunks(pool, 0, n, [&](size_t lo, size_t hi) {
+        if (lo == 0) {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (done.load() < 3 * n / 4) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    timed_out = true;
+                    break;
+                }
+                std::this_thread::yield();
+            }
+        }
+        done.fetch_add(hi - lo);
+    });
+    EXPECT_FALSE(timed_out.load());
+    EXPECT_EQ(done.load(), n);
 }
 
 TEST(TextTable, AlignsColumnsAndPrintsTitle)

@@ -138,7 +138,7 @@ struct BlockSet
     }
 };
 
-/** (taps, len, filters): fan-ins across the compressor-tree chunk
+/** (taps, len, filters): fan-ins across the 16-line Harley-Seal group
  *  size, lengths across word/segment boundaries, ragged lane counts. */
 class MultiVsReference
     : public ::testing::TestWithParam<std::tuple<size_t, size_t, size_t>>
@@ -298,7 +298,7 @@ TEST(MultiKernels, EmptyRangeAtTheRaggedTailIsANoOp)
 INSTANTIATE_TEST_SUITE_P(
     Grid, MultiVsReference,
     ::testing::Combine(
-        // Fan-ins below/at/above the 16-line compressor chunk and the
+        // Fan-ins below/at/above the 16-line Harley-Seal group and the
         // parity cutoff, plus large blocked-layer shapes.
         ::testing::Values(1, 3, 15, 16, 17, 40, 151),
         // Lengths around word and 4-word-segment boundaries.

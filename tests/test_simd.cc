@@ -118,7 +118,7 @@ productCountsOneImage(const std::vector<sc::BitstreamView> &xs,
 
 TEST_P(SimdVsScalar, ProductCountsMultiMatch)
 {
-    // The AVX2 filter-lane compressor tree against the scalar
+    // The AVX2 Harley-Seal fold against the scalar
     // plane-insertion path of the same kernel, over ragged lane counts
     // and word sub-ranges (the scalar path also covers the stream's
     // partial tail word when SIMD is on).
@@ -156,12 +156,78 @@ TEST_P(SimdVsScalar, ProductCountsMultiMatch)
     }
 }
 
+TEST_P(SimdVsScalar, MultiBatchKernelsMatch)
+{
+    // Both batch kernels over a 3-image batch-major arena (the engine's
+    // layout): per-tap image strides, the last tap a stride-0 shared
+    // bias line, and a non-contiguous active list, so the SIMD fold's
+    // image addressing is compared, not only image 0's. The plane cap
+    // is one above the fold's width, so the zero fill is compared too.
+    auto [n, len] = GetParam();
+    constexpr size_t kImages = 3;
+    sc::BatchStreamArena in;
+    in.reset(n, kImages, len);
+    sc::SngBank bank(9000 + n * 131 + len);
+    sc::SplitMix64 vals(n ^ len);
+    for (size_t t = 0; t < n; ++t)
+        for (size_t b = 0; b < kImages; ++b)
+            in.assign(t, b, bank.bipolar(vals.nextInRange(-1, 1), len));
+    std::vector<sc::BitstreamView> xs0(n);
+    std::vector<size_t> strides(n, in.strideWords());
+    for (size_t t = 0; t < n; ++t)
+        xs0[t] = in.view(t, 0);
+    strides[n - 1] = 0;
+    const uint32_t active[] = {2, 0};
+
+    sc::InterleavedWeightArena arena;
+    arena.reset(6, n, len);
+    for (size_t f = 0; f < 6; ++f)
+        for (size_t t = 0; t < n; ++t)
+            arena.assign(f, t, bank.bipolar(vals.nextInRange(-1, 1), len));
+    const size_t n_words = (len + 63) / 64;
+    const size_t cap = sc::planeCapForTaps(n) + 1;
+    for (size_t g = 0; g < arena.groups(); ++g) {
+        const sc::WeightBlockView block = arena.block(g);
+        for (size_t w0 : {size_t{0}, std::min(n_words, size_t{3})}) {
+            const size_t cycles = std::min(len, n_words * 64) -
+                                  std::min(len, w0 * 64);
+            const size_t plane_lane = (n_words - w0) * (cap + 1);
+            for (bool approximate : {false, true}) {
+                std::vector<uint16_t> counts[2];
+                std::vector<uint64_t> planes[2];
+                for (int simd = 0; simd < 2; ++simd) {
+                    sc::simd::setEnabled(simd == 1);
+                    counts[simd].assign(2 * 4 * cycles, 0xFFFF);
+                    planes[simd].assign(2 * 4 * plane_lane, ~uint64_t{0});
+                    sc::fusedProductCountsMultiBatch(
+                        xs0, strides, active, 2, block, approximate, w0,
+                        n_words, counts[simd].data(), cycles, 4 * cycles);
+                    sc::fusedProductPlanesMultiBatch(
+                        xs0, strides, active, 2, block, approximate, w0,
+                        n_words, planes[simd].data(), cap, plane_lane,
+                        4 * plane_lane);
+                }
+                EXPECT_EQ(counts[1], counts[0])
+                    << "n=" << n << " len=" << len << " group=" << g
+                    << " w0=" << w0 << " approx=" << approximate;
+                EXPECT_EQ(planes[1], planes[0])
+                    << "n=" << n << " len=" << len << " group=" << g
+                    << " w0=" << w0 << " approx=" << approximate;
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, SimdVsScalar,
     ::testing::Combine(
-        // Fan-ins around the parity cutoff, the 16-line compressor
-        // chunk, and across plane counts.
-        ::testing::Values(1, 3, 4, 5, 16, 17, 26, 151, 257),
+        // Fan-ins around the parity cutoff (both parities of the
+        // parity-line count: 2, 3), the 16-line Harley-Seal group
+        // (15, 16, 17, 31, 32, 33), LeNet5's conv1, conv2 and fc
+        // fan-ins (26, 501, 801), and across plane counts (801 needs
+        // 10 planes).
+        ::testing::Values(1, 2, 3, 4, 5, 15, 16, 17, 26, 31, 32, 33, 151,
+                          257, 501, 801),
         // Lengths around the 256-bit SIMD block and 64-bit word
         // boundaries: pure-scalar, pure-SIMD, and mixed tails.
         ::testing::Values(1, 63, 64, 255, 256, 257, 300, 511, 512,
