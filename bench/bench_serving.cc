@@ -1040,6 +1040,7 @@ main()
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"compiler\": \"%s\",\n", __VERSION__);
+    bench::writeHostJson(f, ThreadPool::global().size());
     std::fprintf(f, "  \"calib_fused_ms\": %.3f,\n", fused_ms);
     std::fprintf(f, "  \"open_loop\": [\n");
     for (size_t i = 0; i < open.size(); ++i)

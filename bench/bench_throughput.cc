@@ -5,11 +5,14 @@
  * reference oracle (with per-phase and per-(stage, phase) breakdowns
  * of the fused pass), and batched throughput (forwardBatch) across
  * thread counts. Single-image SC timings run on a one-thread pool, the
- * same pool as the one-thread batch point they are compared with. Results
- * are printed as a table and written as machine-readable JSON (default
- * BENCH_throughput.json, override with SCDCNN_BENCH_JSON) so the perf
- * trajectory can be tracked PR over PR; when a prior JSON exists at
- * the output path, a fused-vs-previous-run comparison is printed.
+ * same pool as the one-thread batch point they are compared with; that
+ * batch point runs armed too and gets its own per-(stage, phase)
+ * table. Results are printed as a table and written as
+ * machine-readable JSON (default BENCH_throughput.json, override with
+ * SCDCNN_BENCH_JSON), host fingerprint included (CPU model, nproc,
+ * L1d/L2, SIMD dispatch, pool threads), so the perf trajectory can be
+ * tracked PR over PR; when a prior JSON exists at the output path, a
+ * fused-vs-previous-run comparison is printed.
  *
  * Knobs: SCDCNN_BENCH_LEN (bit-stream length, default 1024),
  * SCDCNN_BENCH_REPS (fused single-image reps, default 3),
@@ -136,6 +139,20 @@ stagePhaseMs(const obs::TraceRecorder &rec, size_t images)
                                             : a.phase < b.phase;
               });
     return rows;
+}
+
+/** Write `"stage_phases": [...],` at JSON indent 4. */
+void
+writeStagePhases(std::FILE *f, const std::vector<StagePhaseMs> &rows)
+{
+    std::fprintf(f, "    \"stage_phases\": [\n");
+    for (size_t i = 0; i < rows.size(); ++i)
+        std::fprintf(f,
+                     "      {\"stage\": %u, \"phase\": \"%s\", "
+                     "\"ms\": %.3f}%s\n",
+                     rows[i].stage, obs::spanName(rows[i].phase),
+                     rows[i].ms, i + 1 < rows.size() ? "," : "");
+    std::fprintf(f, "    ],\n");
 }
 
 /** Read a whole file, empty string when absent. */
@@ -411,11 +428,23 @@ main()
     std::printf("forwardBatch of %zu images:\n", batch_images);
     std::vector<ThreadPoint> points;
     std::vector<size_t> baseline_preds;
+    // The 1-thread point runs armed, like the single-image reps it is
+    // compared with, and yields the batch path's per-(stage, phase)
+    // table.
+    std::vector<StagePhaseMs> batch_stage_phases;
     for (size_t t : thread_counts) {
         ThreadPool pool(t);
+        if (t == 1) {
+            rec.clear();
+            rec.arm();
+        }
         t0 = std::chrono::steady_clock::now();
         const auto preds = sc_net.forwardBatch(images, 42, &pool);
         const double ms = msSince(t0);
+        if (t == 1) {
+            rec.disarm();
+            batch_stage_phases = stagePhaseMs(rec, batch_images);
+        }
         if (baseline_preds.empty())
             baseline_preds = preds;
         else if (preds != baseline_preds)
@@ -429,19 +458,19 @@ main()
                     t == 1 ? " " : "s", ms, ips);
     }
 
-    // Batch-vs-single throughput ratio of the weight-stationary batch
-    // path (both sides on pool1, so the ratio isolates the
-    // kernel-level win — weight words streamed once per micro-batch —
-    // from thread scaling). The reuse factor is the number of images
-    // each weight-block load serves: the whole batch under the
-    // whole-stream default, vs 1 on the per-image loop.
+    // Batch-vs-single throughput ratio of the batch path (both sides
+    // on pool1, so the ratio isolates the kernel-level win from thread
+    // scaling).
     const double single_ips = 1000.0 / fused_ms;
     const double batch_ratio =
         points.empty() ? 0.0 : points[0].images_per_sec / single_ips;
     std::printf("  %-28s %10.2fx (batch ips / single ips, 1 thread)\n",
                 "batch speedup", batch_ratio);
-    std::printf("  %-28s %10zu images per weight-block load\n",
-                "weight-block reuse", batch_images);
+    std::printf("  1-thread per-(stage, phase) breakdown (ms per image, "
+                "armed):\n");
+    for (const StagePhaseMs &row : batch_stage_phases)
+        std::printf("    stage %-2u %-17s %10.2f\n", row.stage,
+                    obs::spanName(row.phase), row.ms);
 
     // --- scenario topologies ---------------------------------------
     // The engine is topology-general; keep a per-topology datapoint
@@ -542,6 +571,7 @@ main()
     std::fprintf(f, "  \"filter_block\": %zu,\n", sc::kFilterLanes);
     std::fprintf(f, "  \"segment_words\": %zu,\n",
                  cfg.stream_segment_words);
+    bench::writeHostJson(f, thread_counts.back());
     std::fprintf(f, "  \"single_image\": {\n");
     std::fprintf(f, "    \"reference_ms\": %.3f,\n", ref_ms);
     std::fprintf(f, "    \"fused_ms\": %.3f,\n", fused_ms);
@@ -556,16 +586,7 @@ main()
                  fused_phases.activation);
     std::fprintf(f, "      \"output\": %.3f\n", fused_phases.output);
     std::fprintf(f, "    },\n");
-    std::fprintf(f, "    \"stage_phases\": [\n");
-    for (size_t i = 0; i < stage_phases.size(); ++i) {
-        const StagePhaseMs &row = stage_phases[i];
-        std::fprintf(f,
-                     "      {\"stage\": %u, \"phase\": \"%s\", "
-                     "\"ms\": %.3f}%s\n",
-                     row.stage, obs::spanName(row.phase), row.ms,
-                     i + 1 < stage_phases.size() ? "," : "");
-    }
-    std::fprintf(f, "    ],\n");
+    writeStagePhases(f, stage_phases);
     std::fprintf(f, "    \"progressive\": {\n");
     std::fprintf(f, "      \"margin\": %.3f,\n", cfg.progressive_margin);
     std::fprintf(f, "      \"min_bits\": %zu,\n",
@@ -601,9 +622,9 @@ main()
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"batch\": {\n");
     std::fprintf(f, "    \"images\": %zu,\n", batch_images);
-    std::fprintf(f, "    \"weight_block_reuse\": %zu,\n", batch_images);
     std::fprintf(f, "    \"batch_ips_per_single_ips\": %.3f,\n",
                  batch_ratio);
+    writeStagePhases(f, batch_stage_phases);
     std::fprintf(f, "    \"runs\": [\n");
     for (size_t i = 0; i < points.size(); ++i) {
         const ThreadPoint &p = points[i];

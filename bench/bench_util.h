@@ -12,7 +12,13 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
+
+#include <unistd.h>
+
+#include "sc/simd.h"
 
 namespace scdcnn {
 namespace bench {
@@ -52,6 +58,61 @@ inline size_t
 evalImages()
 {
     return envSize("SCDCNN_EVAL_IMAGES", 60);
+}
+
+/** CPU model name from /proc/cpuinfo ("unknown" elsewhere), stripped
+ *  of characters that would need escaping in a JSON string. */
+inline std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const size_t colon = line.find(':');
+        std::string model;
+        for (size_t i = colon == std::string::npos ? line.size()
+                                                   : colon + 1;
+             i < line.size(); ++i)
+            if (line[i] != '"' && line[i] != '\\')
+                model += line[i];
+        const size_t first = model.find_first_not_of(' ');
+        return first == std::string::npos ? "unknown"
+                                          : model.substr(first);
+    }
+    return "unknown";
+}
+
+/** Per-core cache size in KiB from sysconf (0 when not reported). */
+inline long
+cacheKib(int name)
+{
+    const long bytes = sysconf(name);
+    return bytes > 0 ? bytes / 1024 : 0;
+}
+
+/**
+ * Write the host fingerprint object `"host": {...},` at JSON indent 2:
+ * CPU model, online CPUs, L1d and L2 size, the SIMD dispatch the
+ * kernels took, and the thread count of the pool the bench ran its
+ * engine on — so every artifact says which host produced it.
+ */
+inline void
+writeHostJson(std::FILE *f, size_t pool_threads)
+{
+    std::fprintf(f, "  \"host\": {\n");
+    std::fprintf(f, "    \"cpu_model\": \"%s\",\n", cpuModel().c_str());
+    std::fprintf(f, "    \"nproc\": %u,\n",
+                 std::thread::hardware_concurrency());
+    std::fprintf(f, "    \"l1d_kib\": %ld,\n",
+                 cacheKib(_SC_LEVEL1_DCACHE_SIZE));
+    std::fprintf(f, "    \"l2_kib\": %ld,\n",
+                 cacheKib(_SC_LEVEL2_CACHE_SIZE));
+    std::fprintf(f, "    \"simd\": \"%s\",\n",
+                 sc::simd::enabled() ? "avx2" : "scalar");
+    std::fprintf(f, "    \"pool_threads\": %zu\n", pool_threads);
+    std::fprintf(f, "  },\n");
 }
 
 /** Banner for one experiment binary. */

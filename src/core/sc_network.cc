@@ -130,6 +130,16 @@ imageZeroViews(const sc::BatchStreamArena &a)
     return v;
 }
 
+/** The kernel views of every filter block of @p w, in block order. */
+std::vector<sc::WeightBlockView>
+blockViews(const sc::InterleavedWeightArena &w)
+{
+    std::vector<sc::WeightBlockView> v(w.groups());
+    for (size_t g = 0; g < v.size(); ++g)
+        v[g] = w.block(g);
+    return v;
+}
+
 /**
  * Bipolar-sum class scores of image @p b from the output layer's
  * accumulators (laid out [class][image] over @p n_images images) after
@@ -403,11 +413,13 @@ ScNetwork::initConvRun(ConvRun &run, const StreamGrid &in,
             st.reset(4, 0);
     }
     // Every generator is derived from its position: MUX selects per
-    // (filter block, position, window) — shared by the block's lanes,
-    // the way the blocked MUX kernel samples — and the average-pooling
-    // MUX per pixel, each seeded from its own image's seed. Any thread
-    // partition and any batch composition reproduce the same streams
-    // (and the Reference oracle seeds its generators the same way).
+    // (filter block, position, window) site — shared by the block's
+    // lanes, the way the blocked MUX kernel samples — at index
+    // ((g * positions + q) * 4 + window) * B + image whatever order the
+    // work items run in, and the average-pooling MUX per pixel, each
+    // seeded from its own image's seed. Any thread partition and any
+    // batch composition reproduce the same streams (and the Reference
+    // oracle seeds its generators the same way).
     run.sel_rng.clear();
     run.pool_rng.clear();
     if (!use_apc) {
@@ -473,15 +485,19 @@ ScNetwork::runConvSegment(const StreamGrid &in,
     const size_t seg_words = seg.w1 - seg.w0;
     const size_t seg_stride = seg_words * 64;
     const size_t in_stride = in.arena.strideWords();
+    const std::vector<sc::WeightBlockView> views =
+        blockViews(weights.blocked);
 
-    // One (filter block, output position) pair per work item, covering
-    // the whole active micro-batch: the four pooling-window inner
-    // products are computed with every input word shared across the
-    // block's filter lanes, and the block's weight words are folded
-    // against every active image's input window (the weight-stationary
-    // inversion). Contiguous chunks go to the pool workers, each with
-    // its own reusable workspace; everything randomized is
-    // position-derived, so the partition never changes the streams.
+    // One (output position, filter block) pair per work item,
+    // position-major (item = q * n_groups + g), so a chunk holds runs
+    // of filter blocks at one position. Per run and active image, each
+    // of the four pooling windows' input words is gathered once into
+    // an operand tile and folded against every block of the run — one
+    // input window fanned out to many filters, as in the hardware
+    // feature-extraction block. Contiguous chunks go to the pool
+    // workers, each with its own reusable workspace; everything
+    // randomized is seeded by its (block, position, window) site, so
+    // the partition never changes the streams.
     // Max-pooled APC layers carry the inner products as count planes:
     // the Figure 8 selector needs per-cycle counts only for the input
     // it forwards, so the kernel skips the plane-to-count transpose
@@ -489,14 +505,20 @@ ScNetwork::runConvSegment(const StreamGrid &in,
     // winner's counts on demand).
     const size_t plane_cap = sc::planeCapForTaps(n_inputs);
     const size_t plane_lane_stride = seg_words * (plane_cap + 1);
-    const size_t plane_image_stride = sc::kFilterLanes * plane_lane_stride;
 
     const auto body = [&](size_t lo, size_t hi) {
-        // Pooling and activation run over every (lane, image) pixel of
-        // a work item at once: pair pr = f * n_active + j.
-        const size_t max_pairs = sc::kFilterLanes * n_active;
+        // Scratch holds `slots` run lanes per window: one image of the
+        // longest run this chunk can hold, or kFilterLanes lanes per
+        // active image when that is more (the scratch of one block
+        // over the whole batch). Short runs (few filters) then pool
+        // and activate several images per pass, which keeps the
+        // interleaved FSM passes wide.
+        const size_t slots =
+            std::max(std::min(hi - lo, n_groups), n_active) *
+            sc::kFilterLanes;
         sc::BatchFusedWorkspace wsp;
-        wsp.xs0.resize(n_inputs);
+        for (auto &xs : wsp.xs0)
+            xs.resize(n_inputs);
         wsp.x_strides.assign(n_inputs, in_stride);
         wsp.x_strides[n_inputs - 1] = 0; // shared bias line
         std::vector<uint64_t> planes_buf;
@@ -506,190 +528,212 @@ ScNetwork::runConvSegment(const StreamGrid &in,
         if (use_apc && use_max) {
             // +4 tail words: the pooling quad loads read whole 4-plane
             // groups past the last word's parity slot.
-            planes_buf.resize(4 * n_active * plane_image_stride + 4);
-            plane_ptrs.resize(4 * max_pairs);
-            pool_state_ptrs.resize(max_pairs);
-            pool_out_ptrs.resize(max_pairs);
-            wsp.pooled.resize(max_pairs * seg_stride);
+            planes_buf.resize(4 * slots * plane_lane_stride + 4);
+            plane_ptrs.resize(4 * slots);
+            pool_state_ptrs.resize(slots);
+            pool_out_ptrs.resize(slots);
+            wsp.pooled.resize(slots * seg_stride);
         } else if (use_apc) {
-            wsp.counts.resize(4 * n_active * sc::kFilterLanes *
-                              seg_stride);
-            wsp.steps.resize(max_pairs * seg_stride);
+            wsp.counts.resize(4 * slots * seg_stride);
+            wsp.steps.resize(slots * seg_stride);
         } else {
-            wsp.products.resize(4 * n_active * sc::kFilterLanes *
-                                seg_words);
-            wsp.pooled_words.resize(max_pairs * seg_words);
+            wsp.products.resize(4 * slots * seg_words);
+            wsp.pooled_words.resize(slots * seg_words);
         }
-        wsp.count_ptrs.resize(max_pairs);
-        wsp.word_ptrs.resize(max_pairs);
-        wsp.step_ptrs.resize(max_pairs);
-        wsp.out_ptrs.resize(max_pairs);
-        wsp.state_ptrs.resize(max_pairs);
+        wsp.count_ptrs.resize(slots);
+        wsp.word_ptrs.resize(slots);
+        wsp.step_ptrs.resize(slots);
+        wsp.out_ptrs.resize(slots);
+        wsp.state_ptrs.resize(slots);
         PhaseTimer timer;
-        for (size_t item = lo; item < hi; ++item) {
-            const size_t g = item / positions;
-            const size_t q = item % positions;
+        for (size_t item = lo; item < hi;) {
+            const size_t q = item / n_groups;
+            const size_t g0 = item % n_groups;
+            const size_t g1 = std::min(n_groups, g0 + (hi - item));
+            item += g1 - g0;
+            const std::span<const sc::WeightBlockView> run_blocks(
+                views.data() + g0, g1 - g0);
+            const size_t run_lanes = run_blocks.size() * sc::kFilterLanes;
+            const size_t group = std::min(slots / run_lanes, n_active);
             const size_t oy = q / out_w;
             const size_t ox = q % out_w;
-            const sc::WeightBlockView block = weights.blocked.block(g);
 
-            timer.start();
             for (size_t window = 0; window < 4; ++window) {
                 const size_t cy = 2 * oy + window / 2;
                 const size_t cx = 2 * ox + window % 2;
+                std::vector<sc::BitstreamView> &xs = wsp.xs0[window];
                 size_t idx = 0;
                 for (size_t ci = 0; ci < weights.c_in; ++ci)
                     for (size_t ky = 0; ky < k; ++ky)
                         for (size_t kx = 0; kx < k; ++kx)
-                            wsp.xs0[idx++] = in.at(ci, cy + ky, cx + kx, 0);
-                wsp.xs0[idx] = bias_line_;
-
-                if (use_apc && use_max) {
-                    sc::fusedProductPlanesMultiBatch(
-                        wsp.xs0, wsp.x_strides, active.data(), n_active,
-                        block, /*approximate=*/true, seg.w0, seg.w1,
-                        planes_buf.data() +
-                            window * n_active * plane_image_stride,
-                        plane_cap, plane_lane_stride, plane_image_stride);
-                } else if (use_apc) {
-                    sc::fusedProductCountsMultiBatch(
-                        wsp.xs0, wsp.x_strides, active.data(), n_active,
-                        block, /*approximate=*/true, seg.w0, seg.w1,
-                        wsp.counts.data() + window * n_active *
-                                                sc::kFilterLanes *
-                                                seg_stride,
-                        seg_stride, sc::kFilterLanes * seg_stride);
-                } else {
-                    // MUX layers run the per-image kernel (the selects
-                    // are per-image RNG sequences anyway); the image
-                    // loop still re-reads the block's weight slice
-                    // from cache.
-                    for (size_t j = 0; j < n_active; ++j) {
-                        const size_t img = active[j];
-                        sc::Xoshiro256ss &sel =
-                            run.sel_rng[(item * 4 + window) * B + img];
-                        sc::fillMuxSelects(n_inputs, seg.n_cycles, sel,
-                                           wsp.selects);
-                        sc::shiftViewsForImage(wsp.xs0, wsp.x_strides,
-                                               img, wsp.xs_img);
-                        sc::fusedMuxProductMulti(
-                            wsp.xs_img, block, wsp.selects, seg.w0,
-                            seg.w1,
-                            wsp.products.data() + (window * n_active + j) *
-                                                      sc::kFilterLanes *
-                                                      seg_words,
-                            seg_words);
-                    }
-                }
+                            xs[idx++] = in.at(ci, cy + ky, cx + kx, 0);
+                xs[idx] = bias_line_;
             }
-            timer.lap(timer.inner_product);
 
-            // Pool every (lane, image) pixel of the item, carrying the
-            // selector counters across segments, then activate them all
-            // in one interleaved FSM pass (independent serial chains
-            // overlap in the pipeline, and the per-call cost is paid
-            // once per item, not per lane). Max pooling uses the
-            // accumulative (non-resetting) reading of the Figure 8
-            // counters: inside a trained network the candidate inner
-            // products are separated by O(1/N) in stream value, so
-            // per-segment counts cannot distinguish them, but the
-            // accumulated counts converge on the true maximum within a
-            // few hundred cycles (see DESIGN.md reconstruction notes).
-            const size_t n_pairs = block.lanes * n_active;
-            for (size_t f = 0; f < block.lanes; ++f) {
-                const size_t p =
-                    (g * sc::kFilterLanes + f) * positions + q;
-                for (size_t j = 0; j < n_active; ++j) {
-                    const size_t img = active[j];
-                    const size_t pr = f * n_active + j;
-                    wsp.out_ptrs[pr] =
-                        run.out.arena.wordsAt(p, img) + seg.w0;
-                    wsp.state_ptrs[pr] = &run.fsm[p * B + img];
+            // Scratch lane of (window, image jj of the group, run lane
+            // r): window * slots + jj * run_lanes + r.
+            for (size_t j0 = 0; j0 < n_active; j0 += group) {
+                const uint32_t *imgs = active.data() + j0;
+                const size_t n_imgs = std::min(group, n_active - j0);
+                timer.start();
+                for (size_t window = 0; window < 4; ++window) {
                     if (use_apc && use_max) {
-                        // The plane form: only each pixel's selected
-                        // window is ever transposed back to per-cycle
-                        // counts.
-                        for (size_t w = 0; w < 4; ++w)
-                            plane_ptrs[pr * 4 + w] =
-                                planes_buf.data() +
-                                (w * n_active + j) * plane_image_stride +
-                                f * plane_lane_stride;
-                        pool_state_ptrs[pr] = &run.pool[p * B + img];
-                        pool_out_ptrs[pr] =
-                            wsp.pooled.data() + pr * seg_stride;
-                        wsp.count_ptrs[pr] = pool_out_ptrs[pr];
+                        sc::fusedProductPlanesMultiBatch(
+                            wsp.xs0[window], wsp.x_strides, imgs, n_imgs,
+                            run_blocks, /*approximate=*/true, seg.w0,
+                            seg.w1, wsp.tile,
+                            planes_buf.data() +
+                                window * slots * plane_lane_stride,
+                            plane_cap, plane_lane_stride,
+                            run_lanes * plane_lane_stride);
                     } else if (use_apc) {
-                        const uint16_t *cnt[4];
-                        for (size_t w = 0; w < 4; ++w)
-                            cnt[w] = wsp.counts.data() +
-                                     ((w * n_active + j) *
-                                          sc::kFilterLanes +
-                                      f) *
-                                         seg_stride;
-                        wsp.step_ptrs[pr] =
-                            wsp.steps.data() + pr * seg_stride;
-                        blocks::binaryAveragePoolingSignedRange(
-                            cnt, 4, n_inputs, seg.n_cycles,
-                            wsp.steps.data() + pr * seg_stride);
+                        sc::fusedProductCountsMultiBatch(
+                            wsp.xs0[window], wsp.x_strides, imgs, n_imgs,
+                            run_blocks, /*approximate=*/true, seg.w0,
+                            seg.w1, wsp.tile,
+                            wsp.counts.data() + window * slots * seg_stride,
+                            seg_stride, run_lanes * seg_stride);
                     } else {
-                        const uint64_t *prod[4];
-                        for (size_t w = 0; w < 4; ++w)
-                            prod[w] = wsp.products.data() +
-                                      ((w * n_active + j) *
-                                           sc::kFilterLanes +
-                                       f) *
-                                          seg_words;
-                        uint64_t *pooled =
-                            wsp.pooled_words.data() + pr * seg_words;
-                        // Unlike the isolated Figure 14(b) study
-                        // (operands uniform over [-1,1]),
-                        // trained-network streams sit near p=0.5 where
-                        // the Figure 11 K/5 threshold would swamp the
-                        // signal with a constant positive bias; the
-                        // classic midpoint threshold is used for
-                        // network inference.
-                        if (use_max)
-                            blocks::maxPoolStreamsRange(
-                                prod, 4, seg.c0, seg.n_cycles,
-                                cfg_.segment_len, /*accumulate=*/true,
-                                run.pool[p * B + img], pooled);
-                        else
-                            blocks::averagePoolingRange(
-                                prod, 4, seg.n_cycles,
-                                run.pool_rng[p * B + img], pooled);
-                        wsp.word_ptrs[pr] = pooled;
+                        // MUX layers run the per-image kernel (the
+                        // selects are per-image RNG sequences anyway).
+                        for (size_t jj = 0; jj < n_imgs; ++jj) {
+                            sc::shiftViewsForImage(wsp.xs0[window],
+                                                   wsp.x_strides, imgs[jj],
+                                                   wsp.xs_img);
+                            for (size_t g = g0; g < g1; ++g) {
+                                const size_t site = g * positions + q;
+                                sc::Xoshiro256ss &sel =
+                                    run.sel_rng[(site * 4 + window) * B +
+                                                imgs[jj]];
+                                sc::fillMuxSelects(n_inputs, seg.n_cycles,
+                                                   sel, wsp.selects);
+                                sc::fusedMuxProductMulti(
+                                    wsp.xs_img, views[g], wsp.selects,
+                                    seg.w0, seg.w1,
+                                    wsp.products.data() +
+                                        (window * slots + jj * run_lanes +
+                                         (g - g0) * sc::kFilterLanes) *
+                                            seg_words,
+                                    seg_words);
+                            }
+                        }
                     }
                 }
+                timer.lap(timer.inner_product);
+
+                // Pool every lane pixel of the run for these images,
+                // carrying the selector counters across segments, then
+                // activate them all in one interleaved FSM pass
+                // (independent serial chains overlap in the pipeline,
+                // and the per-call cost is paid once per pass, not per
+                // lane). Max pooling uses the accumulative
+                // (non-resetting) reading of the Figure 8 counters:
+                // inside a trained network the candidate inner
+                // products are separated by O(1/N) in stream value, so
+                // per-segment counts cannot distinguish them, but the
+                // accumulated counts converge on the true maximum
+                // within a few hundred cycles (see DESIGN.md
+                // reconstruction notes).
+                // Pairs run pixel-major, image-minor, so consecutive
+                // FSM chains write adjacent arena slots and states. Only
+                // the layer's last block is ragged, so the run's real
+                // filters are its first n_filters lanes.
+                const size_t n_filters =
+                    std::min(g1 * sc::kFilterLanes, weights.c_out) -
+                    g0 * sc::kFilterLanes;
+                size_t n_pairs = 0;
+                for (size_t r = 0; r < n_filters; ++r) {
+                    const size_t p =
+                        (g0 * sc::kFilterLanes + r) * positions + q;
+                    for (size_t jj = 0; jj < n_imgs; ++jj) {
+                        const size_t img = imgs[jj];
+                        const size_t lane = jj * run_lanes + r;
+                        const size_t pr = n_pairs++;
+                        wsp.out_ptrs[pr] =
+                            run.out.arena.wordsAt(p, img) + seg.w0;
+                        wsp.state_ptrs[pr] = &run.fsm[p * B + img];
+                        if (use_apc && use_max) {
+                            // The plane form: only each pixel's selected
+                            // window is ever transposed back to
+                            // per-cycle counts.
+                            for (size_t w = 0; w < 4; ++w)
+                                plane_ptrs[pr * 4 + w] =
+                                    planes_buf.data() +
+                                    (w * slots + lane) * plane_lane_stride;
+                            pool_state_ptrs[pr] = &run.pool[p * B + img];
+                            pool_out_ptrs[pr] =
+                                wsp.pooled.data() + pr * seg_stride;
+                            wsp.count_ptrs[pr] = pool_out_ptrs[pr];
+                        } else if (use_apc) {
+                            const uint16_t *cnt[4];
+                            for (size_t w = 0; w < 4; ++w)
+                                cnt[w] = wsp.counts.data() +
+                                         (w * slots + lane) * seg_stride;
+                            wsp.step_ptrs[pr] =
+                                wsp.steps.data() + pr * seg_stride;
+                            blocks::binaryAveragePoolingSignedRange(
+                                cnt, 4, n_inputs, seg.n_cycles,
+                                wsp.steps.data() + pr * seg_stride);
+                        } else {
+                            const uint64_t *prod[4];
+                            for (size_t w = 0; w < 4; ++w)
+                                prod[w] = wsp.products.data() +
+                                          (w * slots + lane) * seg_words;
+                            uint64_t *pooled =
+                                wsp.pooled_words.data() + pr * seg_words;
+                            // Unlike the isolated Figure 14(b) study
+                            // (operands uniform over [-1,1]),
+                            // trained-network streams sit near p=0.5
+                            // where the Figure 11 K/5 threshold would
+                            // swamp the signal with a constant positive
+                            // bias; the classic midpoint threshold is
+                            // used for network inference.
+                            if (use_max)
+                                blocks::maxPoolStreamsRange(
+                                    prod, 4, seg.c0, seg.n_cycles,
+                                    cfg_.segment_len, /*accumulate=*/true,
+                                    run.pool[p * B + img], pooled);
+                            else
+                                blocks::averagePoolingRange(
+                                    prod, 4, seg.n_cycles,
+                                    run.pool_rng[p * B + img], pooled);
+                            wsp.word_ptrs[pr] = pooled;
+                        }
+                    }
+                }
+                // The chunk walk of the Figure 8 selector depends only
+                // on the segment range, so one call pools every pixel.
+                if (use_apc && use_max)
+                    blocks::binaryMaxPoolPlanesBatch(
+                        plane_ptrs.data(), n_pairs, 4, plane_cap,
+                        /*parity=*/true, seg.c0, seg.n_cycles,
+                        cfg_.segment_len, /*accumulate=*/true,
+                        pool_state_ptrs.data(), pool_out_ptrs.data());
+                timer.lap(timer.pooling);
+                if (use_apc && use_max)
+                    btanh_tables_[layer_idx]->transformWordsBatch(
+                        wsp.count_ptrs.data(), seg.n_cycles,
+                        wsp.out_ptrs.data(), wsp.state_ptrs.data(),
+                        n_pairs);
+                else if (use_apc)
+                    btanh_tables_[layer_idx]->transformSignedWordsBatch(
+                        wsp.step_ptrs.data(), seg.n_cycles,
+                        wsp.out_ptrs.data(), wsp.state_ptrs.data(),
+                        n_pairs);
+                else
+                    stanh_tables_[layer_idx]->transformWordsBatch(
+                        wsp.word_ptrs.data(), seg.n_cycles,
+                        wsp.out_ptrs.data(), wsp.state_ptrs.data(),
+                        n_pairs);
+                timer.lap(timer.activation);
             }
-            // The chunk walk of the Figure 8 selector depends only on
-            // the segment range, so one call pools every pixel.
-            if (use_apc && use_max)
-                blocks::binaryMaxPoolPlanesBatch(
-                    plane_ptrs.data(), n_pairs, 4, plane_cap,
-                    /*parity=*/true, seg.c0, seg.n_cycles,
-                    cfg_.segment_len, /*accumulate=*/true,
-                    pool_state_ptrs.data(), pool_out_ptrs.data());
-            timer.lap(timer.pooling);
-            if (use_apc && use_max)
-                btanh_tables_[layer_idx]->transformWordsBatch(
-                    wsp.count_ptrs.data(), seg.n_cycles,
-                    wsp.out_ptrs.data(), wsp.state_ptrs.data(), n_pairs);
-            else if (use_apc)
-                btanh_tables_[layer_idx]->transformSignedWordsBatch(
-                    wsp.step_ptrs.data(), seg.n_cycles,
-                    wsp.out_ptrs.data(), wsp.state_ptrs.data(), n_pairs);
-            else
-                stanh_tables_[layer_idx]->transformWordsBatch(
-                    wsp.word_ptrs.data(), seg.n_cycles,
-                    wsp.out_ptrs.data(), wsp.state_ptrs.data(), n_pairs);
-            timer.lap(timer.activation);
         }
         flushPhases(timer, seg.w0, layer_idx);
     };
     if (pool != nullptr)
-        parallelForChunks(*pool, 0, n_groups * positions, body);
+        parallelForChunks(*pool, 0, positions * n_groups, body);
     else
-        parallelForChunks(0, n_groups * positions, body);
+        parallelForChunks(0, positions * n_groups, body);
 }
 
 void
@@ -711,72 +755,88 @@ ScNetwork::runFcSegment(const std::vector<sc::BitstreamView> &in0,
     const size_t n_groups = weights.blocked.groups();
     const size_t seg_words = seg.w1 - seg.w0;
     const size_t seg_stride = seg_words * 64;
+    const std::vector<sc::WeightBlockView> views =
+        blockViews(weights.blocked);
 
-    // One neuron block per work item, chunked across the pool with
-    // per-chunk workspaces; the shared input views are gathered once
-    // per chunk and every block's weight slice streams contiguously.
+    // One neuron block per work item, so a chunk is one run of blocks:
+    // per active image the input words are gathered once into an
+    // operand tile and folded against every block of the run, and the
+    // run's lanes activate together — several images per pass when the
+    // run is shorter than the batch, as in runConvSegment.
     const auto body = [&](size_t lo, size_t hi) {
+        const std::span<const sc::WeightBlockView> run_blocks(
+            views.data() + lo, hi - lo);
+        const size_t run_lanes = run_blocks.size() * sc::kFilterLanes;
+        const size_t slots =
+            std::max(run_blocks.size(), n_active) * sc::kFilterLanes;
+        const size_t group = std::min(slots / run_lanes, n_active);
         sc::BatchFusedWorkspace wsp;
-        wsp.xs0.resize(n_inputs);
-        wsp.x_strides.resize(n_inputs);
-        for (size_t i = 0; i < weights.n_in; ++i) {
-            wsp.xs0[i] = in0[i];
-            wsp.x_strides[i] = in_strides[i];
-        }
-        wsp.xs0[weights.n_in] = bias_line_;
-        wsp.x_strides[weights.n_in] = 0;
+        std::vector<sc::BitstreamView> &xs = wsp.xs0[0];
+        xs.assign(in0.begin(), in0.end());
+        xs.push_back(bias_line_);
+        wsp.x_strides.assign(in_strides.begin(), in_strides.end());
+        wsp.x_strides.push_back(0);
         if (use_apc)
-            wsp.counts.resize(n_active * sc::kFilterLanes * seg_stride);
+            wsp.counts.resize(slots * seg_stride);
         else
-            wsp.products.resize(n_active * sc::kFilterLanes * seg_words);
-        // One activation pass per neuron block over every (image,
-        // lane) pair.
-        const size_t max_pairs = sc::kFilterLanes * n_active;
-        wsp.count_ptrs.resize(max_pairs);
-        wsp.word_ptrs.resize(max_pairs);
-        wsp.out_ptrs.resize(max_pairs);
-        wsp.state_ptrs.resize(max_pairs);
+            wsp.products.resize(slots * seg_words);
+        wsp.count_ptrs.resize(slots);
+        wsp.word_ptrs.resize(slots);
+        wsp.out_ptrs.resize(slots);
+        wsp.state_ptrs.resize(slots);
         PhaseTimer timer;
-        for (size_t g = lo; g < hi; ++g) {
-            const sc::WeightBlockView block = weights.blocked.block(g);
+        // Scratch lane of (image jj of the group, run lane r):
+        // jj * run_lanes + r.
+        for (size_t j0 = 0; j0 < n_active; j0 += group) {
+            const uint32_t *imgs = active.data() + j0;
+            const size_t n_imgs = std::min(group, n_active - j0);
             timer.start();
             if (use_apc) {
                 sc::fusedProductCountsMultiBatch(
-                    wsp.xs0, wsp.x_strides, active.data(), n_active,
-                    block, /*approximate=*/true, seg.w0, seg.w1,
-                    wsp.counts.data(), seg_stride,
-                    sc::kFilterLanes * seg_stride);
+                    xs, wsp.x_strides, imgs, n_imgs, run_blocks,
+                    /*approximate=*/true, seg.w0, seg.w1, wsp.tile,
+                    wsp.counts.data(), seg_stride, run_lanes * seg_stride);
             } else {
-                for (size_t j = 0; j < n_active; ++j) {
-                    const size_t img = active[j];
-                    sc::Xoshiro256ss &sel = run.sel_rng[g * B + img];
-                    sc::fillMuxSelects(n_inputs, seg.n_cycles, sel,
-                                       wsp.selects);
-                    sc::shiftViewsForImage(wsp.xs0, wsp.x_strides, img,
+                for (size_t jj = 0; jj < n_imgs; ++jj) {
+                    sc::shiftViewsForImage(xs, wsp.x_strides, imgs[jj],
                                            wsp.xs_img);
-                    sc::fusedMuxProductMulti(
-                        wsp.xs_img, block, wsp.selects, seg.w0, seg.w1,
-                        wsp.products.data() +
-                            j * sc::kFilterLanes * seg_words,
-                        seg_words);
+                    for (size_t g = lo; g < hi; ++g) {
+                        sc::Xoshiro256ss &sel =
+                            run.sel_rng[g * B + imgs[jj]];
+                        sc::fillMuxSelects(n_inputs, seg.n_cycles, sel,
+                                           wsp.selects);
+                        sc::fusedMuxProductMulti(
+                            wsp.xs_img, views[g], wsp.selects, seg.w0,
+                            seg.w1,
+                            wsp.products.data() +
+                                (jj * run_lanes +
+                                 (g - lo) * sc::kFilterLanes) *
+                                    seg_words,
+                            seg_words);
+                    }
                 }
             }
             timer.lap(timer.inner_product);
 
+            // Neuron-major, image-minor pairs; only the layer's last
+            // block is ragged.
+            const size_t n_neurons =
+                std::min(hi * sc::kFilterLanes, weights.n_out) -
+                lo * sc::kFilterLanes;
             size_t n_pairs = 0;
-            for (size_t j = 0; j < n_active; ++j) {
-                const size_t img = active[j];
-                for (size_t f = 0; f < block.lanes; ++f, ++n_pairs) {
-                    const size_t o = g * sc::kFilterLanes + f;
-                    const size_t src = j * sc::kFilterLanes + f;
+            for (size_t r = 0; r < n_neurons; ++r) {
+                const size_t o = lo * sc::kFilterLanes + r;
+                for (size_t jj = 0; jj < n_imgs; ++jj, ++n_pairs) {
+                    const size_t img = imgs[jj];
+                    const size_t lane = jj * run_lanes + r;
                     wsp.out_ptrs[n_pairs] = run.out.wordsAt(o, img) + seg.w0;
                     wsp.state_ptrs[n_pairs] = &run.fsm[o * B + img];
                     if (use_apc)
                         wsp.count_ptrs[n_pairs] =
-                            wsp.counts.data() + src * seg_stride;
+                            wsp.counts.data() + lane * seg_stride;
                     else
                         wsp.word_ptrs[n_pairs] =
-                            wsp.products.data() + src * seg_words;
+                            wsp.products.data() + lane * seg_words;
                 }
             }
             if (use_apc)
@@ -1031,9 +1091,9 @@ ScNetwork::referenceConv(const StreamGrid &in, size_t layer_idx,
     const size_t positions = out.h * out.w;
     const size_t lane_stride = n_words * 64;
 
-    // The fused runner's work decomposition and position-derived
-    // generators, with every kernel swapped for its bit-serial twin
-    // and every stream processed whole.
+    // One (filter block, position) site per item, seeded like the
+    // fused runner's generators, with every kernel swapped for its
+    // bit-serial twin and every stream processed whole.
     parallelForChunks(
         0, weights.blocked.groups() * positions, [&](size_t lo, size_t hi) {
             std::vector<sc::BitstreamView> xs(n_inputs);
@@ -1046,9 +1106,9 @@ ScNetwork::referenceConv(const StreamGrid &in, size_t layer_idx,
             std::vector<sc::Bitstream> streams(4);
             std::vector<sc::BitstreamView> stream_views(4);
             std::vector<int> steps;
-            for (size_t item = lo; item < hi; ++item) {
-                const size_t g = item / positions;
-                const size_t q = item % positions;
+            for (size_t site = lo; site < hi; ++site) {
+                const size_t g = site / positions;
+                const size_t q = site % positions;
                 const size_t oy = q / out.w;
                 const size_t ox = q % out.w;
                 const sc::WeightBlockView block = weights.blocked.block(g);
@@ -1069,7 +1129,7 @@ ScNetwork::referenceConv(const StreamGrid &in, size_t layer_idx,
                             lane_stride);
                     } else {
                         sc::Xoshiro256ss sel(siteSeed(
-                            seed ^ kSelectSalt, layer_idx, item * 4 + window));
+                            seed ^ kSelectSalt, layer_idx, site * 4 + window));
                         sc::fillMuxSelects(n_inputs, len, sel, selects);
                         sc::referenceMuxProductMulti(
                             xs, block, selects, 0, n_words,

@@ -51,14 +51,15 @@ namespace core {
 /**
  * Which kernel implementation the engine runs on.
  *
- * Fused is the production path: the weight-stationary batch-axis
- * kernels (filter-blocked, word-parallel over the packed uint64_t
- * words, SIMD-dispatched where available), table-driven activation
- * FSMs, reusable per-thread workspaces and layers fanned out across
- * the thread pool. A single image is a micro-batch of one on the same
- * path. The network advances in stream segments of
- * ScNetworkConfig::batch_stream_segment_words (whole-stream by
- * default) with FSM/pooling/select state carried across segments.
+ * Fused is the production path: the batch-axis kernels (runs of
+ * filter blocks folded against per-image operand tiles, word-parallel
+ * over the packed uint64_t words, SIMD-dispatched where available),
+ * table-driven activation FSMs, reusable per-thread workspaces and
+ * layers fanned out across the thread pool. A single image is a
+ * micro-batch of one on the same path. The network advances in stream
+ * segments of ScNetworkConfig::batch_stream_segment_words
+ * (whole-stream by default) with FSM/pooling/select state carried
+ * across segments.
  * Reference drives the same network structure through the bit-serial
  * oracle kernels (one bit per cycle, whole streams, one image at a
  * time) and the scalar Stanh/Btanh steppers — the single ground truth
@@ -242,10 +243,9 @@ class ScNetwork
      * is ignored here.
      *
      * Fused and Progressive batches of any size, one image included,
-     * run the weight-stationary batch kernels. Reference runs the
-     * bit-serial oracle per image and Binary the deterministic
-     * XNOR-popcount backend per image, both fanned out across the
-     * pool.
+     * run the batch kernels. Reference runs the bit-serial oracle per
+     * image and Binary the deterministic XNOR-popcount backend per
+     * image, both fanned out across the pool.
      */
     std::vector<size_t>
     forwardBatch(const std::vector<nn::Tensor> &images,
@@ -256,11 +256,11 @@ class ScNetwork
                      nullptr) const;
 
     /**
-     * Whether forwardBatch runs @p mode on the weight-stationary batch
-     * kernels: every mode except the bit-serial Reference oracle and
-     * the Binary backend (deterministic per image, so its parallel
-     * per-image loop already is its batch path). What the serving
-     * layer records per batch.
+     * Whether forwardBatch runs @p mode on the batch kernels: every
+     * mode except the bit-serial Reference oracle and the Binary
+     * backend (deterministic per image, so its parallel per-image
+     * loop already is its batch path). What the serving layer
+     * records per batch.
      */
     static bool batchKernelEligible(EngineMode mode)
     {
@@ -393,7 +393,7 @@ class ScNetwork
         StreamGrid out;
         std::vector<uint16_t> fsm;                   //!< [pixel][image]
         std::vector<blocks::MaxPoolCarryState> pool; //!< [pixel][image]
-        std::vector<sc::Xoshiro256ss> sel_rng;       //!< [site][image]
+        std::vector<sc::Xoshiro256ss> sel_rng;       //!< [site][window][image]
         std::vector<sc::Xoshiro256ss> pool_rng;      //!< [pixel][image]
     };
 
@@ -446,7 +446,7 @@ class ScNetwork
                           const std::vector<uint32_t> &active,
                           OutputRun &run) const;
 
-    /** The weight-stationary driver behind Fused and Progressive: one
+    /** The batch-kernel driver behind Fused and Progressive: one
      *  shared segment loop advancing every active image through every
      *  layer, with per-image Progressive early exit and cancellation
      *  compacting the active set mid-stream. */

@@ -213,10 +213,12 @@ class StreamArena
  * Slot (site i, image b) occupies words
  * [(i * images + b) * strideWords(), ...), so for a fixed site the
  * streams of consecutive images are exactly strideWords() words apart.
- * The batch-axis kernels exploit that: they take the image-0 views of
- * an operand window plus one per-tap word stride and reach image b's
- * words by pointer offset — no per-image view gather — while a weight
- * block is loaded once and reused across the whole micro-batch.
+ * The batch-axis kernels take the image-0 views of an operand window
+ * plus one per-tap word stride and reach image b's words by pointer
+ * offset — no per-image view gather. They read each tap's words of one
+ * image as whole cache lines into a contiguous [word][tap] operand
+ * tile (sc/fused.h) once per run of filter blocks, so the fold never
+ * walks this site-major layout word by word.
  * Per-slot layout and the tail-zero invariant match Bitstream.
  */
 class BatchStreamArena

@@ -251,58 +251,86 @@ fusedProductCountTotalRange(const std::vector<BitstreamView> &xs,
 namespace {
 
 /**
- * The scalar twin of the AVX2 batch kernels over words [w, end_word):
- * per (word, image, lane), word outer and image inner like the SIMD
- * loop, foldWord over the lane's match lines (tail-word columns past
- * the stream length masked to zero), handed to
- * emit(word, position, lane, planes, used, lsb).
+ * The scalar twin of the AVX2 tile kernels over words [w, end_word) of
+ * one image's operand tile (word row q = w - begin_word at
+ * tile + q * taps): per (word, block, lane), word outer and block
+ * inner like the SIMD loop, foldWord over the lane's match lines
+ * (tail-word columns past the stream length masked to zero), handed to
+ * emit(word, run_lane, planes, used, lsb).
  */
 template <class Emit>
 void
-foldMultiBatchScalar(const std::vector<BitstreamView> &xs0,
-                     const std::vector<size_t> &x_strides,
-                     const uint32_t *images, size_t n_images,
-                     const WeightBlockView &block, size_t parity_lines,
-                     size_t w, size_t end_word, const Emit &emit)
+foldTileScalar(const uint64_t *tile, std::span<const WeightBlockView> blocks,
+               size_t parity_lines, size_t begin_word, size_t w,
+               size_t end_word, const Emit &emit)
 {
-    const size_t n_words = block.wordCount();
-    const size_t tail = block.length % 64;
+    const size_t taps = blocks[0].taps;
+    const size_t n_words = blocks[0].wordCount();
+    const size_t tail = blocks[0].length % 64;
     const uint64_t tail_mask =
         tail == 0 ? ~uint64_t{0} : ((uint64_t{1} << tail) - 1);
     for (; w < end_word; ++w) {
         const uint64_t word_mask =
             (w + 1 == n_words) ? tail_mask : ~uint64_t{0};
-        const uint64_t *wrow = block.at(w, 0);
-        for (size_t j = 0; j < n_images; ++j) {
-            const size_t img = images[j];
-            for (size_t f = 0; f < block.lanes; ++f) {
+        const uint64_t *row = tile + (w - begin_word) * taps;
+        for (size_t b = 0; b < blocks.size(); ++b) {
+            const uint64_t *wrow = blocks[b].at(w, 0);
+            for (size_t f = 0; f < blocks[b].lanes; ++f) {
                 uint64_t planes[kMaxCarrySavePlanes];
                 uint64_t lsb;
                 const int used = foldWord(
-                    block.taps, parity_lines,
+                    taps, parity_lines,
                     [&](size_t i) {
-                        const uint64_t xw =
-                            xs0[i].words[img * x_strides[i] + w];
-                        return ~(xw ^ wrow[i * kFilterLanes + f]) &
+                        return ~(row[i] ^ wrow[i * kFilterLanes + f]) &
                                word_mask;
                     },
                     planes, lsb);
-                emit(w, j, f, planes, used, lsb);
+                emit(w, b * kFilterLanes + f, planes, used, lsb);
             }
         }
     }
 }
 
+/** Shared operand checks of the run kernels: every block of the run
+ *  matches the window (taps, length) and the word range. */
 void
-checkMultiBatchOperands(const std::vector<BitstreamView> &xs0,
-                        const std::vector<size_t> &x_strides,
-                        const WeightBlockView &block, size_t begin_word,
-                        size_t end_word)
+checkRunOperands(const std::vector<BitstreamView> &xs0,
+                 const std::vector<size_t> &x_strides,
+                 std::span<const WeightBlockView> blocks, size_t begin_word,
+                 size_t end_word)
 {
-    checkMultiOperands(xs0, block, begin_word, end_word);
+    SCDCNN_ASSERT(!blocks.empty(), "empty filter block run");
+    checkMultiOperands(xs0, blocks[0], begin_word, end_word);
+    for (const WeightBlockView &block : blocks)
+        SCDCNN_ASSERT(block.lanes >= 1 && block.lanes <= kFilterLanes &&
+                          block.taps == blocks[0].taps &&
+                          block.length == blocks[0].length,
+                      "filter block run mixes shapes");
     SCDCNN_ASSERT(x_strides.size() == xs0.size(),
                   "stride count %zu != operand count %zu",
                   x_strides.size(), xs0.size());
+}
+
+/**
+ * The one gather of the run kernels: image @p img's words
+ * [begin_word, end_word) of every tap into the [word][tap] tile. Each
+ * tap's range is read as consecutive words (whole cache lines), so
+ * the fold that follows never touches the site-major arena again.
+ */
+void
+gatherTile(const std::vector<BitstreamView> &xs0,
+           const std::vector<size_t> &x_strides, size_t img,
+           size_t begin_word, size_t end_word, std::vector<uint64_t> &tile)
+{
+    const size_t taps = xs0.size();
+    const size_t n_words = end_word - begin_word;
+    tile.resize(n_words * taps);
+    for (size_t t = 0; t < taps; ++t) {
+        const uint64_t *src =
+            xs0[t].words + img * x_strides[t] + begin_word;
+        for (size_t q = 0; q < n_words; ++q)
+            tile[q * taps + t] = src[q];
+    }
 }
 
 } // namespace
@@ -311,28 +339,33 @@ void
 fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
                              const std::vector<size_t> &x_strides,
                              const uint32_t *images, size_t n_images,
-                             const WeightBlockView &block, bool approximate,
-                             size_t begin_word, size_t end_word,
+                             std::span<const WeightBlockView> blocks,
+                             bool approximate, size_t begin_word,
+                             size_t end_word, std::vector<uint64_t> &tile,
                              uint16_t *out, size_t lane_stride,
                              size_t image_stride)
 {
-    checkMultiBatchOperands(xs0, x_strides, block, begin_word, end_word);
-    const size_t parity_lines = parityLines(approximate, block.taps);
-    size_t w = begin_word;
-    if (simd::enabled() && block.taps >= 2)
-        w += simd::avx2ProductCountsMultiBatch(
-            xs0.data(), x_strides.data(), images, n_images, block,
-            parity_lines, begin_word, end_word, out, lane_stride,
-            image_stride);
-    foldMultiBatchScalar(
-        xs0, x_strides, images, n_images, block, parity_lines, w, end_word,
-        [&](size_t word, size_t j, size_t f, const uint64_t *planes,
-            int used, uint64_t lsb) {
-            spreadCounts(planes, used, lsb, approximate,
-                         std::min<size_t>(64, block.length - word * 64),
-                         out + j * image_stride + f * lane_stride +
-                             (word - begin_word) * 64);
-        });
+    checkRunOperands(xs0, x_strides, blocks, begin_word, end_word);
+    const size_t length = blocks[0].length;
+    const size_t parity_lines = parityLines(approximate, blocks[0].taps);
+    for (size_t j = 0; j < n_images; ++j) {
+        gatherTile(xs0, x_strides, images[j], begin_word, end_word, tile);
+        uint16_t *img_out = out + j * image_stride;
+        size_t w = begin_word;
+        if (simd::enabled() && blocks[0].taps >= 2)
+            w += simd::avx2ProductCountsTile(
+                tile.data(), blocks.data(), blocks.size(), parity_lines,
+                begin_word, end_word, img_out, lane_stride);
+        foldTileScalar(
+            tile.data(), blocks, parity_lines, begin_word, w, end_word,
+            [&](size_t word, size_t r, const uint64_t *planes, int used,
+                uint64_t lsb) {
+                spreadCounts(planes, used, lsb, approximate,
+                             std::min<size_t>(64, length - word * 64),
+                             img_out + r * lane_stride +
+                                 (word - begin_word) * 64);
+            });
+    }
 }
 
 size_t
@@ -345,54 +378,59 @@ void
 fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                              const std::vector<size_t> &x_strides,
                              const uint32_t *images, size_t n_images,
-                             const WeightBlockView &block, bool approximate,
-                             size_t begin_word, size_t end_word,
+                             std::span<const WeightBlockView> blocks,
+                             bool approximate, size_t begin_word,
+                             size_t end_word, std::vector<uint64_t> &tile,
                              uint64_t *out, size_t plane_cap,
                              size_t lane_stride, size_t image_stride)
 {
-    checkMultiBatchOperands(xs0, x_strides, block, begin_word, end_word);
-    SCDCNN_ASSERT(plane_cap >= planeCapForTaps(block.taps),
+    checkRunOperands(xs0, x_strides, blocks, begin_word, end_word);
+    const size_t taps = blocks[0].taps;
+    SCDCNN_ASSERT(plane_cap >= planeCapForTaps(taps),
                   "plane cap %zu below width %zu for %zu taps", plane_cap,
-                  planeCapForTaps(block.taps), block.taps);
-    const size_t parity_lines = parityLines(approximate, block.taps);
-    size_t w = begin_word;
-    if (simd::enabled() && block.taps >= 2)
-        w += simd::avx2ProductPlanesMultiBatch(
-            xs0.data(), x_strides.data(), images, n_images, block,
-            parity_lines, begin_word, end_word, plane_cap, out,
-            lane_stride, image_stride);
-    foldMultiBatchScalar(
-        xs0, x_strides, images, n_images, block, parity_lines, w, end_word,
-        [&](size_t word, size_t j, size_t f, const uint64_t *planes,
-            int used, uint64_t lsb) {
-            SCDCNN_ASSERT(static_cast<size_t>(used) <= plane_cap,
-                          "fold used %d planes, cap %zu", used, plane_cap);
-            uint64_t *dst = out + j * image_stride + f * lane_stride +
-                            (word - begin_word) * (plane_cap + 1);
-            std::fill(dst, dst + plane_cap, uint64_t{0});
-            std::copy(planes, planes + used, dst);
-            dst[plane_cap] = lsb;
-        });
+                  planeCapForTaps(taps), taps);
+    const size_t parity_lines = parityLines(approximate, taps);
+    for (size_t j = 0; j < n_images; ++j) {
+        gatherTile(xs0, x_strides, images[j], begin_word, end_word, tile);
+        uint64_t *img_out = out + j * image_stride;
+        size_t w = begin_word;
+        if (simd::enabled() && taps >= 2)
+            w += simd::avx2ProductPlanesTile(
+                tile.data(), blocks.data(), blocks.size(), parity_lines,
+                begin_word, end_word, plane_cap, img_out, lane_stride);
+        foldTileScalar(
+            tile.data(), blocks, parity_lines, begin_word, w, end_word,
+            [&](size_t word, size_t r, const uint64_t *planes, int used,
+                uint64_t lsb) {
+                SCDCNN_ASSERT(static_cast<size_t>(used) <= plane_cap,
+                              "fold used %d planes, cap %zu", used,
+                              plane_cap);
+                uint64_t *dst = img_out + r * lane_stride +
+                                (word - begin_word) * (plane_cap + 1);
+                std::fill(dst, dst + plane_cap, uint64_t{0});
+                std::copy(planes, planes + used, dst);
+                dst[plane_cap] = lsb;
+            });
+    }
 }
 
 void
 referenceProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
                                  const std::vector<size_t> &x_strides,
                                  const uint32_t *images, size_t n_images,
-                                 const WeightBlockView &block,
+                                 std::span<const WeightBlockView> blocks,
                                  bool approximate, size_t begin_word,
                                  size_t end_word, uint16_t *out,
                                  size_t lane_stride, size_t image_stride)
 {
-    SCDCNN_ASSERT(x_strides.size() == xs0.size(),
-                  "stride count %zu != operand count %zu",
-                  x_strides.size(), xs0.size());
     std::vector<BitstreamView> xs_img(xs0.size());
     for (size_t j = 0; j < n_images; ++j) {
         shiftViewsForImage(xs0, x_strides, images[j], xs_img);
-        referenceProductCountsMulti(xs_img, block, approximate,
-                                    begin_word, end_word,
-                                    out + j * image_stride, lane_stride);
+        for (size_t b = 0; b < blocks.size(); ++b)
+            referenceProductCountsMulti(
+                xs_img, blocks[b], approximate, begin_word, end_word,
+                out + j * image_stride + b * kFilterLanes * lane_stride,
+                lane_stride);
     }
 }
 

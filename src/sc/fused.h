@@ -37,6 +37,7 @@
 #define SCDCNN_SC_FUSED_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sc/bitstream.h"
@@ -153,9 +154,10 @@ void fusedProductCountTotalRange(const std::vector<BitstreamView> &xs,
                                  size_t begin_word, size_t end_word,
                                  ProductCountAccum &acc);
 
-/** Bit-serial filter-blocked column counts over one image (per-bit
- *  view / block get()): the oracle of fusedProductCountsMultiBatch,
- *  with the same single-image output layout. */
+/** Bit-serial filter-blocked column counts over one image and one
+ *  block (per-bit view / block get()): the oracle of
+ *  fusedProductCountsMultiBatch, with its single-image, single-block
+ *  output layout. */
 void referenceProductCountsMulti(const std::vector<BitstreamView> &xs,
                                  const WeightBlockView &block,
                                  bool approximate, size_t begin_word,
@@ -226,41 +228,49 @@ void fusedBinaryPool4(const int32_t *windows, size_t n_pixels,
 void referenceBinaryPool4(const int32_t *windows, size_t n_pixels,
                           bool max_pool, int32_t *out);
 
-// ------- Batch-axis (weight-stationary) kernel variants -----------
+// ------- Batch-axis (input-tile) kernel variants ------------------
 //
-// The *MultiBatch kernels run one filter block against a whole
-// micro-batch of images in a single pass: each weight word is loaded
-// once and XNOR'd against the corresponding input word of every image
-// before the kernel advances to the next word, so the block's weight
-// slice stays in registers/L1 while the activations stream. Operands
-// are addressed batch-major: the caller passes the image-0 views of
-// the input window plus one per-tap word stride (0 for shared streams
-// like the bias line), and image b's tap t words sit at
-// xs0[t].words + b * x_strides[t] — the BatchStreamArena layout.
-// @p images lists the (still-active) image indices to evaluate, which
-// is how Progressive early exit removes an image mid-stream without
-// disturbing the others.
+// The *MultiBatch kernels fold a run of filter blocks against a
+// micro-batch of images. Operands are addressed batch-major: the
+// caller passes the image-0 views of the input window plus one per-tap
+// word stride (0 for shared streams like the bias line), and image b's
+// tap t words sit at xs0[t].words + b * x_strides[t] — the
+// BatchStreamArena layout. For each active image the kernel first
+// gathers the window's range words into one contiguous [word][tap]
+// operand tile (each tap's words are read as whole cache lines), then
+// folds every word row of the tile against every block of the run, so
+// the fold reads its inputs by linear index from L1 and the gather is
+// paid once per run instead of once per block. @p images lists the
+// (still-active) image indices to evaluate, which is how Progressive
+// early exit removes an image mid-stream without disturbing the
+// others. The blocks of a run share taps and length; only the last
+// may be ragged (lanes < kFilterLanes). Lane f of block b is run lane
+// r = b * kFilterLanes + f; a ragged block's missing lanes are not
+// written. @p tile is caller-owned scratch (resized to the range's
+// words x taps).
 
 /**
- * Filter-blocked XNOR-multiply + parallel-counter column counts over a
+ * Run-of-blocks XNOR-multiply + parallel-counter column counts over a
  * word range for a micro-batch: for every active position j (image
- * index images[j]), bit-exact with referenceProductCountsMulti over
- * the operand views {xs0[t].words + images[j] * x_strides[t],
- * block.length}. Counts for lane f, active position j, segment-local
- * cycle i land at out[j * image_stride + f * lane_stride + i]; exactly
- * block.lanes lanes are written and lane_stride must cover the ranged
- * cycle count. With @p approximate the count LSB is the truncated
- * parity of the first four product lines (ApproxParallelCounter).
- * Dispatches to sc/simd.h's APC fold at runtime. The loop order is
- * weight-stationary: word outer, image inner.
+ * index images[j]) and block b, bit-exact with
+ * referenceProductCountsMulti over the operand views
+ * {xs0[t].words + images[j] * x_strides[t], length}. Counts for run
+ * lane r, active position j, segment-local cycle i land at
+ * out[j * image_stride + r * lane_stride + i]; lane_stride must cover
+ * the ranged cycle count. With @p approximate the count LSB is the
+ * truncated parity of the first four product lines
+ * (ApproxParallelCounter). Dispatches to sc/simd.h's APC fold at
+ * runtime.
  */
 void fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
                                   const std::vector<size_t> &x_strides,
                                   const uint32_t *images, size_t n_images,
-                                  const WeightBlockView &block,
+                                  std::span<const WeightBlockView> blocks,
                                   bool approximate, size_t begin_word,
-                                  size_t end_word, uint16_t *out,
-                                  size_t lane_stride, size_t image_stride);
+                                  size_t end_word,
+                                  std::vector<uint64_t> &tile,
+                                  uint16_t *out, size_t lane_stride,
+                                  size_t image_stride);
 
 /** Planes needed to hold a column count over @p taps product lines:
  *  the canonical binary width of the maximum count. */
@@ -271,30 +281,31 @@ size_t planeCapForTaps(size_t taps);
  * fold, but each word's column counts are stored as their
  * @p plane_cap canonical bit-planes plus the leading-lines parity word
  * instead of being transposed into per-cycle uint16 counts. Image j,
- * lane f, range-local word q's planes land at out[j * image_stride +
- * f * lane_stride + q * (plane_cap + 1)]; the parity word at offset
+ * run lane r, range-local word q's planes land at out[j * image_stride
+ * + r * lane_stride + q * (plane_cap + 1)]; the parity word at offset
  * plane_cap within the group. plane_cap must be >=
- * planeCapForTaps(block.taps). The max-pool path consumes this form:
+ * planeCapForTaps(taps). The max-pool path consumes this form:
  * segment sums come from plane popcounts and only the selected input
  * is ever transposed (see blocks::binaryMaxPoolPlanesBatch).
  */
 void fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                                   const std::vector<size_t> &x_strides,
                                   const uint32_t *images, size_t n_images,
-                                  const WeightBlockView &block,
+                                  std::span<const WeightBlockView> blocks,
                                   bool approximate, size_t begin_word,
-                                  size_t end_word, uint64_t *out,
-                                  size_t plane_cap, size_t lane_stride,
-                                  size_t image_stride);
+                                  size_t end_word,
+                                  std::vector<uint64_t> &tile,
+                                  uint64_t *out, size_t plane_cap,
+                                  size_t lane_stride, size_t image_stride);
 
-/** Bit-serial oracle for fusedProductCountsMultiBatch (per-image
- *  referenceProductCountsMulti over the shifted views). */
+/** Bit-serial oracle for fusedProductCountsMultiBatch (per-image,
+ *  per-block referenceProductCountsMulti over the shifted views). */
 void referenceProductCountsMultiBatch(
     const std::vector<BitstreamView> &xs0,
     const std::vector<size_t> &x_strides, const uint32_t *images,
-    size_t n_images, const WeightBlockView &block, bool approximate,
-    size_t begin_word, size_t end_word, uint16_t *out, size_t lane_stride,
-    size_t image_stride);
+    size_t n_images, std::span<const WeightBlockView> blocks,
+    bool approximate, size_t begin_word, size_t end_word, uint16_t *out,
+    size_t lane_stride, size_t image_stride);
 
 /**
  * Shift an image-0 operand window to image @p image: view t of @p out
@@ -308,15 +319,18 @@ void shiftViewsForImage(const std::vector<BitstreamView> &xs0,
 
 /**
  * Reusable per-thread scratch for the batch-axis engine path: one
- * instance per worker chunk holds the shared image-0 operand window,
- * the per-tap strides, the batch-major count/product blocks
- * ([window][image][lane][cycle]), per-pixel pooling buffers, and the
- * pointer tables the pooling and interleaved FSM transforms consume.
+ * instance per worker chunk holds the image-0 operand windows of a
+ * run's position, the per-tap strides, one image's operand tile, the
+ * count/product blocks of a group of images
+ * ([window][image][run lane][cycle]), per-pixel pooling buffers, and
+ * the pointer tables the pooling and interleaved FSM transforms
+ * consume.
  */
 struct BatchFusedWorkspace
 {
-    std::vector<BitstreamView> xs0;    //!< image-0 operand views
+    std::vector<BitstreamView> xs0[4]; //!< image-0 views per window
     std::vector<size_t> x_strides;     //!< per-tap image word strides
+    std::vector<uint64_t> tile;        //!< one image's [word][tap] tile
     std::vector<BitstreamView> xs_img; //!< shifted views (MUX/output)
     std::vector<uint16_t> selects;     //!< one image's MUX selects
     std::vector<uint16_t> counts;      //!< [window][image][lane][cycle]

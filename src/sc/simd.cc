@@ -257,21 +257,17 @@ halfAdd(__m256i &plane, __m256i &carry)
     carry = t;
 }
 
-/** Mismatch lines of the batch kernels: tap i's input word of one
- *  image, broadcast, against the block's four lane words. */
-struct BatchLines
+/** Mismatch lines of the tile kernels: word row x of one image's
+ *  operand tile, tap i broadcast against the block's four lane words. */
+struct TileLines
 {
-    const BitstreamView *xs0;
-    const size_t *x_strides;
-    size_t img;
-    size_t w;
+    const uint64_t *x;
     const uint64_t *wrow;
 
     __attribute__((target("avx2"))) __m256i operator()(size_t i) const
     {
         return _mm256_xor_si256(
-            _mm256_set1_epi64x(static_cast<long long>(
-                xs0[i].words[img * x_strides[i] + w])),
+            _mm256_set1_epi64x(static_cast<long long>(x[i])),
             _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
                 wrow + i * kFilterLanes)));
     }
@@ -408,73 +404,72 @@ avx2ProductCountBlocks(const BitstreamView *xs, const BitstreamView *ws,
     return n_full_words;
 }
 
+/** Words of [begin_word, end_word) the tile kernels fold: the full
+ *  ones (the stream's partial tail word, if the range reaches it,
+ *  stays with the scalar caller, so no tail masking is needed). */
+static size_t
+fullTileWords(const WeightBlockView &block, size_t begin_word,
+              size_t end_word)
+{
+    const size_t full_end = std::min(end_word, block.length / 64);
+    return full_end > begin_word ? full_end - begin_word : 0;
+}
+
 __attribute__((target("avx2"))) size_t
-avx2ProductCountsMultiBatch(const BitstreamView *xs0,
-                            const size_t *x_strides, const uint32_t *images,
-                            size_t n_images, const WeightBlockView &block,
-                            size_t parity_lines, size_t begin_word,
-                            size_t end_word, uint16_t *out,
-                            size_t lane_stride, size_t image_stride)
+avx2ProductCountsTile(const uint64_t *tile, const WeightBlockView *blocks,
+                      size_t n_blocks, size_t parity_lines,
+                      size_t begin_word, size_t end_word, uint16_t *out,
+                      size_t lane_stride)
 {
     if (!enabled())
         return 0;
-    // Full words only: the stream's partial tail word (if the range
-    // reaches it) stays with the scalar caller, so no tail masking is
-    // needed here.
-    const size_t full_end = std::min(end_word, block.length / 64);
-    if (full_end <= begin_word)
-        return 0;
-    const size_t n_planes = planeCapForTaps(block.taps);
+    const size_t n_words = fullTileWords(blocks[0], begin_word, end_word);
+    const size_t taps = blocks[0].taps;
+    const size_t n_planes = planeCapForTaps(taps);
     SCDCNN_ASSERT(n_planes <= kMaxCarrySavePlanes, "too many input streams");
-    // Weight-stationary loop order: word outer, image inner, so the
-    // block's weight row for word w (taps x kFilterLanes contiguous
-    // words) is re-read from cache for every image of the micro-batch.
-    for (size_t w = begin_word; w < full_end; ++w) {
-        const size_t out_base = (w - begin_word) * 64;
-        for (size_t j = 0; j < n_images; ++j) {
+    // Word outer, block inner: the tile's word row stays in L1 while
+    // every block of the run folds against it.
+    for (size_t q = 0; q < n_words; ++q) {
+        const uint64_t *row = tile + q * taps;
+        for (size_t b = 0; b < n_blocks; ++b) {
             alignas(32) uint64_t pw[kMaxCarrySavePlanes + 1][4];
-            foldApc(BatchLines{xs0, x_strides, images[j], w,
-                               block.at(w, 0)},
-                    block.taps, n_planes, parity_lines, true, pw);
-            uint16_t *dst = out + j * image_stride + out_base;
-            for (size_t f = 0; f < block.lanes; ++f)
+            foldApc(TileLines{row, blocks[b].at(begin_word + q, 0)}, taps,
+                    n_planes, parity_lines, true, pw);
+            uint16_t *dst = out + b * kFilterLanes * lane_stride + q * 64;
+            for (size_t f = 0; f < blocks[b].lanes; ++f)
                 spreadWord(&pw[0][f], kFilterLanes, n_planes,
                            parity_lines > 0, dst + f * lane_stride);
         }
     }
-    return full_end - begin_word;
+    return n_words;
 }
 
 __attribute__((target("avx2"))) size_t
-avx2ProductPlanesMultiBatch(const BitstreamView *xs0,
-                            const size_t *x_strides, const uint32_t *images,
-                            size_t n_images, const WeightBlockView &block,
-                            size_t parity_lines, size_t begin_word,
-                            size_t end_word, size_t plane_cap,
-                            uint64_t *out, size_t lane_stride,
-                            size_t image_stride)
+avx2ProductPlanesTile(const uint64_t *tile, const WeightBlockView *blocks,
+                      size_t n_blocks, size_t parity_lines,
+                      size_t begin_word, size_t end_word, size_t plane_cap,
+                      uint64_t *out, size_t lane_stride)
 {
     if (!enabled())
         return 0;
-    const size_t full_end = std::min(end_word, block.length / 64);
-    if (full_end <= begin_word)
-        return 0;
-    const size_t n_planes = planeCapForTaps(block.taps);
+    const size_t n_words = fullTileWords(blocks[0], begin_word, end_word);
+    const size_t taps = blocks[0].taps;
+    const size_t n_planes = planeCapForTaps(taps);
     SCDCNN_ASSERT(n_planes <= kMaxCarrySavePlanes, "too many input streams");
     SCDCNN_ASSERT(n_planes <= plane_cap, "fold needs %zu planes, cap %zu",
                   n_planes, plane_cap);
-    // Weight-stationary order as in avx2ProductCountsMultiBatch; the
-    // transpose is replaced by plane stores.
-    for (size_t w = begin_word; w < full_end; ++w) {
-        const size_t word_base = (w - begin_word) * (plane_cap + 1);
-        for (size_t j = 0; j < n_images; ++j) {
+    // The order of avx2ProductCountsTile; the transpose is replaced by
+    // plane stores.
+    for (size_t q = 0; q < n_words; ++q) {
+        const uint64_t *row = tile + q * taps;
+        for (size_t b = 0; b < n_blocks; ++b) {
             alignas(32) uint64_t pw[kMaxCarrySavePlanes + 1][4];
-            foldApc(BatchLines{xs0, x_strides, images[j], w,
-                               block.at(w, 0)},
-                    block.taps, n_planes, parity_lines, true, pw);
-            uint64_t *img_out = out + j * image_stride + word_base;
-            for (size_t f = 0; f < block.lanes; ++f) {
-                uint64_t *dst = img_out + f * lane_stride;
+            foldApc(TileLines{row, blocks[b].at(begin_word + q, 0)}, taps,
+                    n_planes, parity_lines, true, pw);
+            uint64_t *word_out =
+                out + b * kFilterLanes * lane_stride + q * (plane_cap + 1);
+            for (size_t f = 0; f < blocks[b].lanes; ++f) {
+                uint64_t *dst = word_out + f * lane_stride;
                 size_t p = 0;
                 for (; p < n_planes; ++p)
                     dst[p] = pw[p][f];
@@ -484,7 +479,7 @@ avx2ProductPlanesMultiBatch(const BitstreamView *xs0,
             }
         }
     }
-    return full_end - begin_word;
+    return n_words;
 }
 
 void
@@ -874,19 +869,15 @@ avx2ProductCountBlocks(const BitstreamView *, const BitstreamView *,
 }
 
 size_t
-avx2ProductCountsMultiBatch(const BitstreamView *, const size_t *,
-                            const uint32_t *, size_t,
-                            const WeightBlockView &, size_t, size_t,
-                            size_t, uint16_t *, size_t, size_t)
+avx2ProductCountsTile(const uint64_t *, const WeightBlockView *, size_t,
+                      size_t, size_t, size_t, uint16_t *, size_t)
 {
     return 0;
 }
 
 size_t
-avx2ProductPlanesMultiBatch(const BitstreamView *, const size_t *,
-                            const uint32_t *, size_t,
-                            const WeightBlockView &, size_t, size_t,
-                            size_t, size_t, uint64_t *, size_t, size_t)
+avx2ProductPlanesTile(const uint64_t *, const WeightBlockView *, size_t,
+                      size_t, size_t, size_t, size_t, uint64_t *, size_t)
 {
     return 0;
 }

@@ -9,12 +9,14 @@
  * dispatch rule DESIGN.md documents, enforced by tests/test_simd.cc).
  *
  * Kernels:
- *  - avx2ProductCountBlocks, avx2Product{Counts,Planes}MultiBatch: thin
+ *  - avx2ProductCountBlocks, avx2Product{Counts,Planes}Tile: thin
  *    emitters around one APC fold (simd.cc) that counts mismatch lines
  *    x ^ w through a Harley-Seal carry-save chain — 91 vector ops + 2
  *    per high plane per 16 lines — and converts to match counts
  *    c = n - m once per fold; the emitters transpose the planes to
- *    uint16 counts or store them as planes;
+ *    uint16 counts or store them as planes. The *Tile kernels read
+ *    one image's gathered [word][tap] operand tile (sc/fused.h) and
+ *    fold each of its word rows against a whole run of filter blocks;
  *  - avx2ProductCountTotal: the popcount reductions of
  *    fusedProductCountTotal (nibble-LUT shuffle + psadbw);
  *  - avx2SumU16: the segment accumulation of the masked binary
@@ -68,60 +70,50 @@ size_t avx2ProductCountBlocks(const BitstreamView *xs,
                               uint16_t *out);
 
 /**
- * Filter-blocked, batch-axis (weight-stationary) APC column counts:
- * for every full word of [@p begin_word, @p end_word) (a word is full
- * when all 64 of its cycles lie inside block.length), the block's
- * weight row (taps x kFilterLanes words) is folded against the
- * corresponding input-window words of every active image before
- * advancing, so the weight slice stays cache-resident across the
- * micro-batch. Each input word is broadcast against the kFilterLanes
- * weight words with the filters in the 64-bit vector lanes, so one
- * fold serves the whole filter block.
- * Image j's operand for tap i is the image-0 view shifted by whole
- * words: xs0[i].words + images[j] * x_strides[i] (stride 0 shares a
- * line, e.g. the bias stream). Counts for active position j, lane f,
- * range-local cycle i land at out[j * image_stride + f * lane_stride
- * + i]; only block.lanes lanes are written. The approximate-counter
- * LSB is fused in when @p parity_lines > 0.
+ * Run-of-blocks APC column counts over one image's gathered operand
+ * tile: for every full word w of [@p begin_word, @p end_word) (a word
+ * is full when all 64 of its cycles lie inside the blocks' length),
+ * the tile's word row (tile + (w - begin_word) * taps, one word per
+ * tap) is folded against the weight row (taps x kFilterLanes words) of
+ * each of the @p n_blocks blocks in turn, so the row is read by linear
+ * index from L1 across the whole run. Each input word is broadcast
+ * against the kFilterLanes weight words with the filters in the
+ * 64-bit vector lanes, so one fold serves a whole filter block.
+ * Counts for run lane r = b * kFilterLanes + f, range-local cycle i
+ * land at out[r * lane_stride + i]; only each block's real lanes are
+ * written. The approximate-counter LSB is fused in when
+ * @p parity_lines > 0.
  *
  * @return the number of words processed from begin_word (the scalar
  *         caller continues from there); 0 when AVX2 is not enabled.
  */
-size_t avx2ProductCountsMultiBatch(const BitstreamView *xs0,
-                                   const size_t *x_strides,
-                                   const uint32_t *images,
-                                   size_t n_images,
-                                   const WeightBlockView &block,
-                                   size_t parity_lines, size_t begin_word,
-                                   size_t end_word, uint16_t *out,
-                                   size_t lane_stride,
-                                   size_t image_stride);
+size_t avx2ProductCountsTile(const uint64_t *tile,
+                             const WeightBlockView *blocks, size_t n_blocks,
+                             size_t parity_lines, size_t begin_word,
+                             size_t end_word, uint16_t *out,
+                             size_t lane_stride);
 
 /**
- * Plane-emitting variant of avx2ProductCountsMultiBatch: the same
- * fold, but the per-word result is stored as the canonical bit-planes
- * of the column counts instead of being transposed into per-cycle
- * uint16 counts. For image j, lane f, range-local word q, the
- * @p plane_cap planes land at out[j * image_stride + f * lane_stride +
- * q * (plane_cap+1) + p] (planes at or above planeCapForTaps(taps) are
- * zeroed) and the leading-lines parity word at index plane_cap. Skipping the transpose matters when only segment sums of
- * most lanes' counts are consumed (the Figure 8 selector's losing
- * inputs): sums follow from plane popcounts, and per-cycle counts can
- * be recovered exactly for the one selected input via
- * avx2SpreadPlanesWord.
+ * Plane-emitting variant of avx2ProductCountsTile: the same fold, but
+ * the per-word result is stored as the canonical bit-planes of the
+ * column counts instead of being transposed into per-cycle uint16
+ * counts. For run lane r, range-local word q, the @p plane_cap planes
+ * land at out[r * lane_stride + q * (plane_cap+1) + p] (planes at or
+ * above planeCapForTaps(taps) are zeroed) and the leading-lines parity
+ * word at index plane_cap. Skipping the transpose matters when only
+ * segment sums of most lanes' counts are consumed (the Figure 8
+ * selector's losing inputs): sums follow from plane popcounts, and
+ * per-cycle counts can be recovered exactly for the one selected input
+ * via avx2SpreadPlanesWord.
  *
  * @return the number of words processed from begin_word (the scalar
  *         caller continues from there); 0 when AVX2 is not enabled.
  */
-size_t avx2ProductPlanesMultiBatch(const BitstreamView *xs0,
-                                   const size_t *x_strides,
-                                   const uint32_t *images,
-                                   size_t n_images,
-                                   const WeightBlockView &block,
-                                   size_t parity_lines, size_t begin_word,
-                                   size_t end_word, size_t plane_cap,
-                                   uint64_t *out, size_t lane_stride,
-                                   size_t image_stride);
+size_t avx2ProductPlanesTile(const uint64_t *tile,
+                             const WeightBlockView *blocks, size_t n_blocks,
+                             size_t parity_lines, size_t begin_word,
+                             size_t end_word, size_t plane_cap,
+                             uint64_t *out, size_t lane_stride);
 
 /**
  * Transpose one word's canonical count planes back into 64 per-cycle

@@ -82,7 +82,7 @@ struct MetricsSnapshot
     uint64_t shed = 0;      //!< dropped from queue (deadline doomed)
     uint64_t cancelled = 0; //!< stopped in flight (token/deadline)
     uint64_t batches = 0;
-    /** micro-batches executed by the weight-stationary batch kernels
+    /** micro-batches executed by the batch kernels
      *  vs the per-image loop (Reference and Binary batches). */
     uint64_t batch_kernel_batches = 0;
     uint64_t loop_batches = 0;
@@ -163,7 +163,7 @@ class ServerMetrics
                      CloseReason reason);
 
     /** One executed micro-batch, after the forward pass: whether it
-     *  took the weight-stationary batch kernels or the per-image loop
+     *  took the batch kernels or the per-image loop
      *  (Reference and Binary),
      *  the engine mode its QoS policy selected, and the spread
      *  (max - min) of the images' consumed effective bits — the

@@ -274,8 +274,8 @@ InferenceServer::runBatch(ClosedBatch &&batch)
 
     // One forwardBatch call per closed micro-batch: Fused and
     // Progressive batches of any size, singletons included, take the
-    // weight-stationary batch kernels (each filter block's weights are
-    // streamed once for the whole batch); Binary runs its
+    // batch kernels (each image's input window is gathered once and
+    // folded against runs of filter blocks); Binary runs its
     // deterministic per-image backend. The per-item seeds are
     // caller-chosen, hence the explicit-seeds overload. Per-item
     // cancel signals ride along so an in-flight request can stop at a

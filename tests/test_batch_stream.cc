@@ -1,19 +1,20 @@
 /**
  * @file
- * Batch-axis (weight-stationary) execution, bottom to top: the batch
- * kernels must be bit-exact with their bit-serial reference twins and
- * with themselves run one image at a time over shifted views (ragged
- * lanes/taps/word ranges, non-contiguous active image sets, SIMD on
- * and off); the interleaved FSM batch transforms
- * must match the single-stream resumable steppers across segment
- * boundaries; and ScNetwork::forwardBatch must be bit-exact — scores
- * and effective bits — with the bit-serial Reference oracle for every
- * FEB kind, segment size and ragged batch shape (one image included),
- * and a mixed Progressive early-exit batch must leave every image's
- * outcome equal to its own single-image run, at any thread count.
+ * Batch-axis execution, bottom to top: the batch kernels must be
+ * bit-exact with their bit-serial reference twins and with themselves
+ * run one image at a time over shifted views (runs of filter blocks,
+ * ragged lanes/taps/word ranges, non-contiguous active image sets,
+ * SIMD on and off); the interleaved FSM batch transforms must match
+ * the single-stream resumable steppers across segment boundaries; and
+ * ScNetwork::forwardBatch must be bit-exact — scores and effective
+ * bits — with the bit-serial Reference oracle for every FEB kind,
+ * segment size and ragged batch shape (one image included), on every
+ * pool width, and a mixed Progressive early-exit batch must leave
+ * every image's outcome equal to its own single-image run.
  */
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "blocks/pooling.h"
 #include "common/thread_pool.h"
 #include "core/sc_network.h"
+#include "nn/topology.h"
 #include "nn/trainer.h"
 #include "sc/bitstream.h"
 #include "sc/fsm_batch.h"
@@ -70,14 +72,97 @@ struct BatchOperands
     }
 };
 
+/**
+ * One run of filter blocks through both batch kernels against the
+ * per-image, per-block bit-serial oracle, over word ranges starting at
+ * 0 and 1, both counter readings, SIMD on and off: the counts kernel
+ * over the batch, the counts kernel one image at a time through that
+ * image's shifted views (batch composition never changes an image's
+ * counts), and the planes kernel with a plane cap above the fold width
+ * transposed back to counts.
+ */
+void
+checkRun(const BatchOperands &ops,
+         std::span<const sc::WeightBlockView> run,
+         const std::vector<uint32_t> &active, size_t n_words,
+         size_t plane_cap, std::vector<uint64_t> &tile,
+         std::vector<sc::BitstreamView> &shifted, const std::string &what)
+{
+    const size_t lanes = run.size() * sc::kFilterLanes;
+    const size_t n_active = active.size();
+    for (size_t w0 : {size_t{0}, size_t{1}}) {
+        const size_t lane_stride = (n_words - w0) * 64;
+        const size_t image_stride = lanes * lane_stride;
+        const size_t plane_lane = (n_words - w0) * (plane_cap + 1);
+        for (bool approximate : {false, true}) {
+            std::vector<uint16_t> reference(n_active * image_stride, 0);
+            sc::referenceProductCountsMultiBatch(
+                ops.xs0, ops.strides, active.data(), n_active, run,
+                approximate, w0, n_words, reference.data(), lane_stride,
+                image_stride);
+            for (bool simd_on : {true, false}) {
+                sc::simd::setEnabled(simd_on);
+                const std::string where =
+                    what + " w0=" + std::to_string(w0) +
+                    " approx=" + std::to_string(approximate) +
+                    " simd=" + std::to_string(simd_on);
+                std::vector<uint16_t> batched(n_active * image_stride, 0);
+                sc::fusedProductCountsMultiBatch(
+                    ops.xs0, ops.strides, active.data(), n_active, run,
+                    approximate, w0, n_words, tile, batched.data(),
+                    lane_stride, image_stride);
+                EXPECT_EQ(batched, reference) << where;
+
+                std::vector<uint16_t> per_image(n_active * image_stride,
+                                                0);
+                const std::vector<size_t> unit_strides(ops.xs0.size(), 0);
+                const uint32_t only = 0;
+                for (size_t j = 0; j < n_active; ++j) {
+                    sc::shiftViewsForImage(ops.xs0, ops.strides, active[j],
+                                           shifted);
+                    sc::fusedProductCountsMultiBatch(
+                        shifted, unit_strides, &only, 1, run, approximate,
+                        w0, n_words, tile,
+                        per_image.data() + j * image_stride, lane_stride,
+                        0);
+                }
+                EXPECT_EQ(per_image, reference) << where;
+
+                std::vector<uint64_t> planes(n_active * lanes * plane_lane);
+                sc::fusedProductPlanesMultiBatch(
+                    ops.xs0, ops.strides, active.data(), n_active, run,
+                    approximate, w0, n_words, tile, planes.data(),
+                    plane_cap, plane_lane, lanes * plane_lane);
+                std::vector<uint16_t> spread(n_active * image_stride, 0);
+                for (size_t j = 0; j < n_active; ++j)
+                    for (size_t b = 0; b < run.size(); ++b)
+                        for (size_t f = 0; f < run[b].lanes; ++f)
+                            for (size_t q = 0; q < n_words - w0; ++q) {
+                                const size_t r = b * sc::kFilterLanes + f;
+                                sc::simd::avx2SpreadPlanesWord(
+                                    planes.data() +
+                                        (j * lanes + r) * plane_lane +
+                                        q * (plane_cap + 1),
+                                    plane_cap, approximate,
+                                    spread.data() + j * image_stride +
+                                        r * lane_stride + q * 64);
+                            }
+                EXPECT_EQ(spread, reference) << where;
+            }
+        }
+    }
+}
+
 TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
 {
     constexpr size_t kImages = 4;
     // Tap counts straddling the 16-line Harley-Seal group (plus the
-    // bias line), filter counts producing full and ragged lane blocks,
-    // and a stream length with a partial tail word.
+    // bias line), filter counts producing one full block, a full and a
+    // ragged block, and three blocks ending ragged, and a stream length
+    // with a partial tail word. Every contiguous run of blocks goes
+    // through one call: runs of one, two and all blocks.
     for (size_t n_taps : {size_t{4}, size_t{17}, size_t{36}}) {
-        for (size_t filters : {size_t{4}, size_t{6}}) {
+        for (size_t filters : {size_t{4}, size_t{6}, size_t{10}}) {
             const size_t len = 200;
             const size_t n_words = (len + 63) / 64;
             BatchOperands ops(n_taps, kImages, len,
@@ -90,67 +175,31 @@ TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
                 for (size_t t = 0; t < n_taps + 1; ++t)
                     weights.assign(
                         f, t, bank.bipolar(vals.nextInRange(-1, 1), len));
+            std::vector<sc::WeightBlockView> blocks;
+            for (size_t g = 0; g < weights.groups(); ++g)
+                blocks.push_back(weights.block(g));
+            const size_t plane_cap = sc::planeCapForTaps(n_taps + 1) + 1;
 
-            // A non-contiguous active set exercises the stride-offset
-            // addressing (images 1 and 3 of 4).
-            const std::vector<uint32_t> active = {1, 3};
             std::vector<sc::BitstreamView> shifted;
-            for (size_t g = 0; g < weights.groups(); ++g) {
-                const sc::WeightBlockView block = weights.block(g);
-                for (size_t w0 : {size_t{0}, size_t{1}}) {
-                    const size_t lane_stride = (n_words - w0) * 64;
-                    const size_t image_stride =
-                        sc::kFilterLanes * lane_stride;
-                    for (bool approximate : {false, true}) {
-                        for (bool simd_on : {true, false}) {
-                            sc::simd::setEnabled(simd_on);
-                            std::vector<uint16_t> batched(
-                                active.size() * image_stride, 0);
-                            sc::fusedProductCountsMultiBatch(
-                                ops.xs0, ops.strides, active.data(),
-                                active.size(), block, approximate, w0,
-                                n_words, batched.data(), lane_stride,
-                                image_stride);
-
-                            std::vector<uint16_t> reference(
-                                active.size() * image_stride, 0);
-                            sc::referenceProductCountsMultiBatch(
-                                ops.xs0, ops.strides, active.data(),
-                                active.size(), block, approximate, w0,
-                                n_words, reference.data(), lane_stride,
-                                image_stride);
-
-                            // Each image alone, addressed through
-                            // its shifted views: batch composition
-                            // never changes an image's counts.
-                            std::vector<uint16_t> per_image(
-                                active.size() * image_stride, 0);
-                            const std::vector<size_t> unit_strides(
-                                ops.xs0.size(), 0);
-                            const uint32_t only = 0;
-                            for (size_t j = 0; j < active.size(); ++j) {
-                                sc::shiftViewsForImage(
-                                    ops.xs0, ops.strides, active[j],
-                                    shifted);
-                                sc::fusedProductCountsMultiBatch(
-                                    shifted, unit_strides, &only, 1,
-                                    block, approximate, w0, n_words,
-                                    per_image.data() + j * image_stride,
-                                    lane_stride, image_stride);
-                            }
-                            EXPECT_EQ(batched, per_image)
-                                << "taps=" << n_taps
-                                << " filters=" << filters << " g=" << g
-                                << " w0=" << w0
-                                << " approx=" << approximate
-                                << " simd=" << simd_on;
-                            EXPECT_EQ(batched, reference)
-                                << "taps=" << n_taps
-                                << " filters=" << filters << " g=" << g
-                                << " w0=" << w0
-                                << " approx=" << approximate
-                                << " simd=" << simd_on;
-                        }
+            std::vector<uint64_t> tile;
+            // Non-contiguous active sets exercise the stride-offset
+            // addressing, in and out of image order.
+            for (const std::vector<uint32_t> &active :
+                 {std::vector<uint32_t>{1, 3},
+                  std::vector<uint32_t>{2, 0}}) {
+                for (size_t g0 = 0; g0 < blocks.size(); ++g0) {
+                    for (size_t g1 = g0 + 1; g1 <= blocks.size(); ++g1) {
+                        const std::span<const sc::WeightBlockView> run(
+                            blocks.data() + g0, g1 - g0);
+                        const std::string what =
+                            "taps=" + std::to_string(n_taps) +
+                            " filters=" + std::to_string(filters) +
+                            " run=[" + std::to_string(g0) + "," +
+                            std::to_string(g1) + ") active=" +
+                            std::to_string(active[0]) + "," +
+                            std::to_string(active[1]);
+                        checkRun(ops, run, active, n_words, plane_cap,
+                                 tile, shifted, what);
                     }
                 }
             }
@@ -592,25 +641,60 @@ TEST(BatchEngine, ProgressiveMixedEarlyExitBatchStaysBitExact)
 
 TEST(BatchEngine, BatchedPathIsThreadCountInvariant)
 {
-    nn::Network net = nn::buildMiniLeNet(nn::PoolingMode::Max, 23);
-    core::ScNetworkConfig cfg;
-    cfg.pooling = nn::PoolingMode::Max;
-    cfg.bitstream_len = 200;
-    cfg.stream_segment_words = 3;
-    core::ScNetwork sc(net, cfg);
-
+    // Conv stages of 6 and 10 filters (blocks of 4 + 2 and 4 + 4 + 2
+    // lanes) and a 10-wide hidden fc: on pool widths 1..4 the chunk
+    // boundaries of parallelForChunks split a position's run of filter
+    // blocks at every offset (conv2's 75 items cut into chunks of 75,
+    // 5, 4 and 3). Each configuration mixes a MUX stage with an APC
+    // stage, so the per-(block, position, window) select generators
+    // and both APC kernels (planes under max pooling, counts under
+    // average pooling) meet every split; the bit-serial Reference
+    // oracle pins the streams themselves.
+    nn::TopologySpec spec;
+    spec.convs = {{6, 5}, {10, 3}};
+    spec.fc_hidden = {10};
+    spec.seed = 29;
+    const struct
+    {
+        nn::PoolingMode pooling;
+        core::AdderKind conv1, conv2, fc;
+    } cases[] = {
+        {nn::PoolingMode::Max, core::AdderKind::Mux, core::AdderKind::Apc,
+         core::AdderKind::Mux},
+        {nn::PoolingMode::Average, core::AdderKind::Apc,
+         core::AdderKind::Mux, core::AdderKind::Apc},
+    };
     std::vector<nn::Tensor> images;
     for (size_t i = 0; i < 6; ++i)
         images.push_back(nn::DigitDataset::render(i % 10, 90 + i));
 
-    core::PredictOptions opts;
-    ThreadPool one(1), three(3);
-    std::vector<core::ForwardInfo> a, b;
-    const auto pa = sc.forwardBatch(images, 55, opts, &one, &a);
-    const auto pb = sc.forwardBatch(images, 55, opts, &three, &b);
-    EXPECT_EQ(pa, pb);
-    for (size_t i = 0; i < images.size(); ++i)
-        EXPECT_EQ(a[i].scores, b[i].scores) << "image=" << i;
+    for (const auto &c : cases) {
+        nn::Network net = nn::buildTopology(spec, c.pooling);
+        core::ScNetworkConfig cfg;
+        cfg.pooling = c.pooling;
+        cfg.layer_adders = {c.conv1, c.conv2, c.fc};
+        cfg.bitstream_len = 200;
+        cfg.stream_segment_words = 3;
+        cfg.batch_stream_segment_words = 3;
+        core::ScNetwork sc(net, cfg);
+        const std::vector<core::ForwardInfo> ref =
+            referenceInfos(sc, images, 55);
+
+        core::PredictOptions opts;
+        for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+            ThreadPool pool(width);
+            std::vector<core::ForwardInfo> infos;
+            sc.forwardBatch(images, 55, opts, &pool, &infos);
+            for (size_t i = 0; i < images.size(); ++i) {
+                EXPECT_EQ(infos[i].scores, ref[i].scores)
+                    << "pooling=" << static_cast<int>(c.pooling)
+                    << " width=" << width << " image=" << i;
+                EXPECT_EQ(infos[i].effective_bits, ref[i].effective_bits)
+                    << "pooling=" << static_cast<int>(c.pooling)
+                    << " width=" << width << " image=" << i;
+            }
+        }
+    }
 }
 
 } // namespace

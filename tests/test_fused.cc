@@ -109,9 +109,10 @@ productCountsOneImage(const std::vector<sc::BitstreamView> &xs,
 {
     const std::vector<size_t> strides(xs.size(), 0);
     const uint32_t image = 0;
-    sc::fusedProductCountsMultiBatch(xs, strides, &image, 1, block,
+    std::vector<uint64_t> tile;
+    sc::fusedProductCountsMultiBatch(xs, strides, &image, 1, {&block, 1},
                                      approximate, begin_word, end_word,
-                                     out, out_stride, 0);
+                                     tile, out, out_stride, 0);
 }
 
 /** A filter block plus the matching plain per-filter views. */

@@ -9,6 +9,7 @@
  */
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -111,9 +112,10 @@ productCountsOneImage(const std::vector<sc::BitstreamView> &xs,
 {
     const std::vector<size_t> strides(xs.size(), 0);
     const uint32_t image = 0;
-    sc::fusedProductCountsMultiBatch(xs, strides, &image, 1, block,
+    std::vector<uint64_t> tile;
+    sc::fusedProductCountsMultiBatch(xs, strides, &image, 1, {&block, 1},
                                      approximate, begin_word, end_word,
-                                     out, out_stride, 0);
+                                     tile, out, out_stride, 0);
 }
 
 TEST_P(SimdVsScalar, ProductCountsMultiMatch)
@@ -160,11 +162,15 @@ TEST_P(SimdVsScalar, MultiBatchKernelsMatch)
 {
     // Both batch kernels over a 3-image batch-major arena (the engine's
     // layout): per-tap image strides, the last tap a stride-0 shared
-    // bias line, and a non-contiguous active list, so the SIMD fold's
-    // image addressing is compared, not only image 0's. The plane cap
-    // is one above the fold's width, so the zero fill is compared too.
+    // bias line, and a non-contiguous active list, so the gather's
+    // image addressing is compared, not only image 0's. Every
+    // contiguous run of the three filter blocks (4, 4 and a ragged 2
+    // lanes) goes through one call, so runs of one, two and all blocks
+    // fold against the same gathered tile. The plane cap is one above
+    // the fold's width, so the zero fill is compared too.
     auto [n, len] = GetParam();
     constexpr size_t kImages = 3;
+    constexpr size_t kFilters = 10;
     sc::BatchStreamArena in;
     in.reset(n, kImages, len);
     sc::SngBank bank(9000 + n * 131 + len);
@@ -180,39 +186,52 @@ TEST_P(SimdVsScalar, MultiBatchKernelsMatch)
     const uint32_t active[] = {2, 0};
 
     sc::InterleavedWeightArena arena;
-    arena.reset(6, n, len);
-    for (size_t f = 0; f < 6; ++f)
+    arena.reset(kFilters, n, len);
+    for (size_t f = 0; f < kFilters; ++f)
         for (size_t t = 0; t < n; ++t)
             arena.assign(f, t, bank.bipolar(vals.nextInRange(-1, 1), len));
+    std::vector<sc::WeightBlockView> blocks;
+    for (size_t g = 0; g < arena.groups(); ++g)
+        blocks.push_back(arena.block(g));
+    ASSERT_EQ(blocks.back().lanes, 2u);
     const size_t n_words = (len + 63) / 64;
     const size_t cap = sc::planeCapForTaps(n) + 1;
-    for (size_t g = 0; g < arena.groups(); ++g) {
-        const sc::WeightBlockView block = arena.block(g);
-        for (size_t w0 : {size_t{0}, std::min(n_words, size_t{3})}) {
-            const size_t cycles = std::min(len, n_words * 64) -
-                                  std::min(len, w0 * 64);
-            const size_t plane_lane = (n_words - w0) * (cap + 1);
-            for (bool approximate : {false, true}) {
-                std::vector<uint16_t> counts[2];
-                std::vector<uint64_t> planes[2];
-                for (int simd = 0; simd < 2; ++simd) {
-                    sc::simd::setEnabled(simd == 1);
-                    counts[simd].assign(2 * 4 * cycles, 0xFFFF);
-                    planes[simd].assign(2 * 4 * plane_lane, ~uint64_t{0});
-                    sc::fusedProductCountsMultiBatch(
-                        xs0, strides, active, 2, block, approximate, w0,
-                        n_words, counts[simd].data(), cycles, 4 * cycles);
-                    sc::fusedProductPlanesMultiBatch(
-                        xs0, strides, active, 2, block, approximate, w0,
-                        n_words, planes[simd].data(), cap, plane_lane,
-                        4 * plane_lane);
+    std::vector<uint64_t> tile;
+    for (size_t g0 = 0; g0 < blocks.size(); ++g0) {
+        for (size_t g1 = g0 + 1; g1 <= blocks.size(); ++g1) {
+            const std::span<const sc::WeightBlockView> run(
+                blocks.data() + g0, g1 - g0);
+            const size_t lanes = run.size() * sc::kFilterLanes;
+            for (size_t w0 : {size_t{0}, std::min(n_words, size_t{3})}) {
+                const size_t cycles = std::min(len, n_words * 64) -
+                                      std::min(len, w0 * 64);
+                const size_t plane_lane = (n_words - w0) * (cap + 1);
+                for (bool approximate : {false, true}) {
+                    std::vector<uint16_t> counts[2];
+                    std::vector<uint64_t> planes[2];
+                    for (int simd = 0; simd < 2; ++simd) {
+                        sc::simd::setEnabled(simd == 1);
+                        counts[simd].assign(2 * lanes * cycles, 0xFFFF);
+                        planes[simd].assign(2 * lanes * plane_lane,
+                                            ~uint64_t{0});
+                        sc::fusedProductCountsMultiBatch(
+                            xs0, strides, active, 2, run, approximate, w0,
+                            n_words, tile, counts[simd].data(), cycles,
+                            lanes * cycles);
+                        sc::fusedProductPlanesMultiBatch(
+                            xs0, strides, active, 2, run, approximate, w0,
+                            n_words, tile, planes[simd].data(), cap,
+                            plane_lane, lanes * plane_lane);
+                    }
+                    EXPECT_EQ(counts[1], counts[0])
+                        << "n=" << n << " len=" << len << " run=[" << g0
+                        << "," << g1 << ") w0=" << w0
+                        << " approx=" << approximate;
+                    EXPECT_EQ(planes[1], planes[0])
+                        << "n=" << n << " len=" << len << " run=[" << g0
+                        << "," << g1 << ") w0=" << w0
+                        << " approx=" << approximate;
                 }
-                EXPECT_EQ(counts[1], counts[0])
-                    << "n=" << n << " len=" << len << " group=" << g
-                    << " w0=" << w0 << " approx=" << approximate;
-                EXPECT_EQ(planes[1], planes[0])
-                    << "n=" << n << " len=" << len << " group=" << g
-                    << " w0=" << w0 << " approx=" << approximate;
             }
         }
     }
@@ -229,8 +248,10 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1, 2, 3, 4, 5, 15, 16, 17, 26, 31, 32, 33, 151,
                           257, 501, 801),
         // Lengths around the 256-bit SIMD block and 64-bit word
-        // boundaries: pure-scalar, pure-SIMD, and mixed tails.
-        ::testing::Values(1, 63, 64, 255, 256, 257, 300, 511, 512,
+        // boundaries: pure-scalar, pure-SIMD, and mixed tails (200:
+        // three full words and an 8-bit tail word, the engine tests'
+        // length).
+        ::testing::Values(1, 63, 64, 200, 255, 256, 257, 300, 511, 512,
                           1024)));
 
 TEST_F(SimdTest, SumU16MatchesScalar)

@@ -36,7 +36,9 @@ bench box carries roughly +/-10% run-to-run noise, so the default gate
 only trips on a >25% slowdown. Machines differ — when the fresh run
 comes from different hardware than the committed record (the JSON
 carries compiler/SIMD/concurrency fields), the comparison is still a
-smoke check: a kernel-level regression shows up on every host.
+smoke check: a kernel-level regression shows up on every host. Both
+JSONs carry a "host" fingerprint (CPU model, nproc, L1d/L2 size, SIMD
+dispatch, pool threads), printed above the verdicts.
 
 Usage:
   tools/bench_check.py --fresh build/BENCH_throughput.json \
@@ -257,12 +259,31 @@ def check_trace_overhead(doc, args):
     return ok
 
 
+def print_host(label, doc):
+    """Print the host fingerprint a bench JSON carries, so every
+    verdict below it says which host produced the numbers."""
+    host = doc.get("host")
+    if not isinstance(host, dict):
+        print(f"bench_check: {label}: no host fingerprint "
+              "(bench predates it)")
+        return
+    print(f"bench_check: {label}: {host.get('cpu_model', '?')}, "
+          f"nproc {host.get('nproc', '?')}, "
+          f"L1d {host.get('l1d_kib', '?')} KiB, "
+          f"L2 {host.get('l2_kib', '?')} KiB, "
+          f"simd {host.get('simd', '?')}, "
+          f"pool threads {host.get('pool_threads', '?')}")
+
+
 def check_throughput(args):
     """Fused single-image latency vs the committed record."""
     if not os.path.exists(args.fresh):
         sys.stderr.write(f"bench_check: fresh JSON {args.fresh} missing\n")
         sys.exit(2)
     fresh_doc = load(args.fresh)
+    print_host("fresh host", fresh_doc)
+    if os.path.exists(args.committed):
+        print_host("committed host", load(args.committed))
     if not os.path.exists(args.committed):
         print(f"bench_check: no committed baseline at {args.committed}; "
               "nothing to compare")
@@ -420,6 +441,9 @@ def check_serving(args):
             f"bench_check: fresh JSON {args.serving_fresh} missing\n")
         sys.exit(2)
     doc = load(args.serving_fresh)
+    print_host("fresh serving host", doc)
+    if os.path.exists(args.serving_committed):
+        print_host("committed serving host", load(args.serving_committed))
     per_request = field(doc, ("gate", "per_request_ips"),
                         args.serving_fresh)
     micro = field(doc, ("gate", "microbatch_ips"), args.serving_fresh)
