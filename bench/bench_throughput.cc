@@ -7,7 +7,11 @@
  * thread counts. Single-image SC timings run on a one-thread pool, the
  * same pool as the one-thread batch point they are compared with; that
  * batch point runs armed too and gets its own per-(stage, phase)
- * table. Results are printed as a table and written as
+ * table. Every batch point runs one unmeasured warm-up call, then at
+ * least three timed reps (mean, median and interquartile range). The
+ * engine build (ScNetwork construction: weight quantization plus one
+ * SNG stream per weight) is timed as the median of three builds.
+ * Results are printed as a table and written as
  * machine-readable JSON (default BENCH_throughput.json, override with
  * SCDCNN_BENCH_JSON), host fingerprint included (CPU model, nproc,
  * L1d/L2, SIMD dispatch, pool threads), so the perf trajectory can be
@@ -15,7 +19,8 @@
  * fused-vs-previous-run comparison is printed.
  *
  * Knobs: SCDCNN_BENCH_LEN (bit-stream length, default 1024),
- * SCDCNN_BENCH_REPS (fused single-image reps, default 3),
+ * SCDCNN_BENCH_REPS (fused single-image reps, default 3; batch points
+ * take at least 3),
  * SCDCNN_BENCH_REF_REPS (reference single-image reps, default 1),
  * SCDCNN_BENCH_IMAGES (batch size, default 16),
  * SCDCNN_BENCH_MAX_THREADS (largest pool size, default 4).
@@ -24,6 +29,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,11 +61,39 @@ msSince(std::chrono::steady_clock::time_point t0)
  *  the binary output layer is not an FEB). */
 constexpr double kFebsPerForward = 20 * 12 * 12 + 50 * 4 * 4 + 500;
 
+/** Mean, median and interquartile range of a set of timings, in ms. */
+struct Spread
+{
+    double mean = 0;
+    double median = 0;
+    double iqr = 0;
+};
+
+/** Spread of @p ms (non-empty); quartiles interpolate linearly
+ *  between order statistics. */
+Spread
+spreadOf(std::vector<double> ms)
+{
+    std::sort(ms.begin(), ms.end());
+    const auto quantile = [&ms](double q) {
+        const double pos = q * static_cast<double>(ms.size() - 1);
+        const size_t lo = static_cast<size_t>(pos);
+        const size_t hi = std::min(lo + 1, ms.size() - 1);
+        return ms[lo] + (ms[hi] - ms[lo]) * (pos - static_cast<double>(lo));
+    };
+    Spread s;
+    for (double v : ms)
+        s.mean += v / static_cast<double>(ms.size());
+    s.median = quantile(0.5);
+    s.iqr = quantile(0.75) - quantile(0.25);
+    return s;
+}
+
 struct ThreadPoint
 {
     size_t threads;
-    double ms_total;
-    double images_per_sec;
+    Spread ms;             //!< one forwardBatch call over the timed reps
+    double images_per_sec; //!< from the mean
 };
 
 /** Per-phase milliseconds, averaged over the profiled reps. */
@@ -204,6 +238,7 @@ main()
     const size_t batch_images = bench::envSize("SCDCNN_BENCH_IMAGES", 16);
     const size_t max_threads =
         bench::envSize("SCDCNN_BENCH_MAX_THREADS", 4);
+    const size_t batch_reps = std::max<size_t>(3, fused_reps);
 
     // Untrained weights time identically to trained ones; what matters
     // is the paper's exact LeNet5 topology.
@@ -211,7 +246,20 @@ main()
     core::ScNetworkConfig cfg; // APC-APC-APC, the paper's No.6 family
     cfg.pooling = nn::PoolingMode::Max;
     cfg.bitstream_len = len;
-    core::ScNetwork sc_net(net, cfg);
+
+    // Engine build: almost all of it is weight-stream generation. The
+    // last of the timed builds is the engine the rest of the bench runs.
+    constexpr size_t kBuilds = 3;
+    std::optional<core::ScNetwork> built;
+    std::vector<double> build_samples;
+    for (size_t r = 0; r < kBuilds; ++r) {
+        built.reset();
+        const auto tb = std::chrono::steady_clock::now();
+        built.emplace(net, cfg);
+        build_samples.push_back(msSince(tb));
+    }
+    const double build_ms = spreadOf(build_samples).median;
+    const core::ScNetwork &sc_net = *built;
     nn::Tensor img = nn::DigitDataset::render(3, 7);
 
     // --- single-image latency, both engine modes -------------------
@@ -335,6 +383,8 @@ main()
     const double speedup = ref_ms / fused_ms;
     const double ns_per_feb = fused_ms * 1e6 / kFebsPerForward;
 
+    std::printf("engine build (%s): %.1f ms (median of %zu)\n\n",
+                cfg.describe().c_str(), build_ms, kBuilds);
     std::printf("single image (%s):\n", cfg.describe().c_str());
     std::printf("  %-28s %10.1f ms\n", "bit-serial reference", ref_ms);
     std::printf("  %-28s %10.1f ms\n", "fused word-parallel", fused_ms);
@@ -425,7 +475,33 @@ main()
     for (size_t t = 1; t <= (hw <= 1 ? size_t{1} : max_threads); t *= 2)
         thread_counts.push_back(t);
 
-    std::printf("forwardBatch of %zu images:\n", batch_images);
+    // One unmeasured warm-up call, then batch_reps timed calls, each
+    // on the same images and seed; with @p arm the recorder is armed
+    // around the timed calls only.
+    const auto time_batch = [&](const core::ScNetwork &engine,
+                                ThreadPool &pool, bool arm,
+                                std::vector<size_t> *preds) {
+        engine.forwardBatch(images, 42, &pool);
+        if (arm) {
+            rec.clear();
+            rec.arm();
+        }
+        std::vector<double> samples;
+        for (size_t r = 0; r < batch_reps; ++r) {
+            const auto start = std::chrono::steady_clock::now();
+            std::vector<size_t> p = engine.forwardBatch(images, 42, &pool);
+            samples.push_back(msSince(start));
+            if (preds != nullptr)
+                *preds = std::move(p);
+        }
+        if (arm)
+            rec.disarm();
+        return spreadOf(samples);
+    };
+
+    std::printf("forwardBatch of %zu images (%zu timed reps after a "
+                "warm-up):\n",
+                batch_images, batch_reps);
     std::vector<ThreadPoint> points;
     std::vector<size_t> baseline_preds;
     // The 1-thread point runs armed, like the single-image reps it is
@@ -434,17 +510,11 @@ main()
     std::vector<StagePhaseMs> batch_stage_phases;
     for (size_t t : thread_counts) {
         ThreadPool pool(t);
-        if (t == 1) {
-            rec.clear();
-            rec.arm();
-        }
-        t0 = std::chrono::steady_clock::now();
-        const auto preds = sc_net.forwardBatch(images, 42, &pool);
-        const double ms = msSince(t0);
-        if (t == 1) {
-            rec.disarm();
-            batch_stage_phases = stagePhaseMs(rec, batch_images);
-        }
+        std::vector<size_t> preds;
+        const Spread sp = time_batch(sc_net, pool, t == 1, &preds);
+        if (t == 1)
+            batch_stage_phases =
+                stagePhaseMs(rec, batch_images * batch_reps);
         if (baseline_preds.empty())
             baseline_preds = preds;
         else if (preds != baseline_preds)
@@ -452,10 +522,12 @@ main()
                         "predictions (determinism bug)\n",
                         t);
         const double ips =
-            static_cast<double>(batch_images) / (ms / 1000.0);
-        points.push_back({t, ms, ips});
-        std::printf("  %2zu thread%s %10.1f ms %10.2f images/sec\n", t,
-                    t == 1 ? " " : "s", ms, ips);
+            static_cast<double>(batch_images) / (sp.mean / 1000.0);
+        points.push_back({t, sp, ips});
+        std::printf("  %2zu thread%s %10.1f ms %10.2f images/sec "
+                    "(median %.1f ms, IQR %.1f ms)\n",
+                    t, t == 1 ? " " : "s", sp.mean, ips, sp.median,
+                    sp.iqr);
     }
 
     // Batch-vs-single throughput ratio of the batch path (both sides
@@ -481,7 +553,7 @@ main()
     {
         const char *name;
         double fused_ms;
-        double batch_ms;
+        Spread batch_ms;
         double batch_ips;
         double batch_ratio; //!< batch ips / single-image ips, 1 thread
         double binary_ms;
@@ -509,11 +581,9 @@ main()
                 single(topo_net, img, 2 + r, fused_opts);
             const double ms =
                 msSince(t0) / static_cast<double>(fused_reps);
-            t0 = std::chrono::steady_clock::now();
-            topo_net.forwardBatch(images, 42, &pool1);
-            const double bms = msSince(t0);
+            const Spread bms = time_batch(topo_net, pool1, false, nullptr);
             const double bips =
-                static_cast<double>(batch_images) / (bms / 1000.0);
+                static_cast<double>(batch_images) / (bms.mean / 1000.0);
             const double ratio = bips / (1000.0 / ms);
             topo_net.predictWith(img, 1, binary_opts); // warm-up
             t0 = std::chrono::steady_clock::now();
@@ -527,7 +597,8 @@ main()
             std::printf("  %-10s %10.1f ms single, %10.1f ms batch "
                         "(%6.2f images/sec, %4.2fx), %8.3f ms binary "
                         "(%5.1fx)\n",
-                        s.name, ms, bms, bips, ratio, bin_ms, bin_ratio);
+                        s.name, ms, bms.mean, bips, ratio, bin_ms,
+                        bin_ratio);
         }
     }
 
@@ -572,6 +643,7 @@ main()
     std::fprintf(f, "  \"segment_words\": %zu,\n",
                  cfg.stream_segment_words);
     bench::writeHostJson(f, thread_counts.back());
+    std::fprintf(f, "  \"engine_build_ms\": %.1f,\n", build_ms);
     std::fprintf(f, "  \"single_image\": {\n");
     std::fprintf(f, "    \"reference_ms\": %.3f,\n", ref_ms);
     std::fprintf(f, "    \"fused_ms\": %.3f,\n", fused_ms);
@@ -622,6 +694,7 @@ main()
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"batch\": {\n");
     std::fprintf(f, "    \"images\": %zu,\n", batch_images);
+    std::fprintf(f, "    \"reps\": %zu,\n", batch_reps);
     std::fprintf(f, "    \"batch_ips_per_single_ips\": %.3f,\n",
                  batch_ratio);
     writeStagePhases(f, batch_stage_phases);
@@ -630,8 +703,10 @@ main()
         const ThreadPoint &p = points[i];
         std::fprintf(f,
                      "      {\"threads\": %zu, \"ms_total\": %.3f, "
-                     "\"images_per_sec\": %.2f}%s\n",
-                     p.threads, p.ms_total, p.images_per_sec,
+                     "\"images_per_sec\": %.2f, \"ms_median\": %.3f, "
+                     "\"ms_iqr\": %.3f}%s\n",
+                     p.threads, p.ms.mean, p.images_per_sec,
+                     p.ms.median, p.ms.iqr,
                      i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n");
@@ -643,12 +718,15 @@ main()
                      "    \"%s\": {\"fused_ms\": %.3f, "
                      "\"images_per_sec\": %.2f, "
                      "\"batch_ms_total\": %.3f, "
+                     "\"batch_ms_median\": %.3f, "
+                     "\"batch_ms_iqr\": %.3f, "
                      "\"batch_images_per_sec\": %.2f, "
                      "\"batch_ips_per_single_ips\": %.3f, "
                      "\"binary_ms\": %.4f, "
                      "\"binary_images_per_sec\": %.2f, "
                      "\"binary_ips_per_fused_ips\": %.2f}%s\n",
-                     p.name, p.fused_ms, 1000.0 / p.fused_ms, p.batch_ms,
+                     p.name, p.fused_ms, 1000.0 / p.fused_ms,
+                     p.batch_ms.mean, p.batch_ms.median, p.batch_ms.iqr,
                      p.batch_ips, p.batch_ratio, p.binary_ms,
                      1000.0 / p.binary_ms, p.binary_ratio,
                      i + 1 < topo_points.size() ? "," : "");

@@ -18,17 +18,20 @@ using namespace scdcnn::sc;
 namespace {
 
 void
-BM_SngBipolar(benchmark::State &state)
+BM_SngBipolar(benchmark::State &state, double x)
 {
     const size_t len = static_cast<size_t>(state.range(0));
     Xoshiro256ss rng(1);
     for (auto _ : state)
-        benchmark::DoNotOptimize(sngBipolar(0.3, len, rng));
+        benchmark::DoNotOptimize(sngBipolar(x, len, rng));
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *
         static_cast<int64_t>(len));
 }
-BENCHMARK(BM_SngBipolar)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK_CAPTURE(BM_SngBipolar, x0.3, 0.3)->Arg(256)->Arg(1024)->Arg(4096);
+// x = 0 (p = 0.5) is what zero pixels and near-zero trained weights
+// encode at: every stream bit is a coin flip.
+BENCHMARK_CAPTURE(BM_SngBipolar, x0, 0.0)->Arg(256)->Arg(1024)->Arg(4096);
 
 void
 BM_SngBipolarLfsr(benchmark::State &state)

@@ -85,8 +85,21 @@ class Xoshiro256ss
   public:
     explicit Xoshiro256ss(uint64_t seed);
 
-    /** Next 64 random bits. */
-    uint64_t next();
+    /** Next 64 random bits. Defined inline: the SNG draws one per
+     *  four stream bits, so the call must not cost more than the
+     *  generator step itself. */
+    uint64_t next()
+    {
+        const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
     double nextDouble();
@@ -101,6 +114,11 @@ class Xoshiro256ss
     double nextGaussian();
 
   private:
+    static uint64_t rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t s_[4];
     bool have_gauss_ = false;
     double gauss_ = 0.0;

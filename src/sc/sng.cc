@@ -43,26 +43,60 @@ sngBipolar(double x, size_t length, Lfsr &lfsr)
     return sngUnipolar((x + 1.0) / 2.0, length, lfsr);
 }
 
+namespace {
+
+/** Lanes 0 and 2 of a draw, each in the low half of a 32-bit slot. */
+constexpr uint64_t kEvenLanes = 0x0000FFFF0000FFFFull;
+/** Bit 31 of each 32-bit slot. */
+constexpr uint64_t kSlotTops = 0x8000000080000000ull;
+
+/**
+ * The four stream bits of one 64-bit draw, in the top nibble: bit
+ * 60 + j is set iff 16-bit lane j (lane 0 in the low bits) is below
+ * the threshold T. @p bias holds 2^31 + T - 1 in both 32-bit slots, so
+ * bias - lane keeps slot bit 31 exactly when lane < T, and never
+ * borrows across slots (T <= 65536). No branches: at p = 0.5 a per-bit
+ * branch is a coin flip.
+ */
+inline uint64_t
+drawNibble(uint64_t draw, uint64_t bias)
+{
+    const uint64_t even = (bias - (draw & kEvenLanes)) & kSlotTops;
+    const uint64_t odd = (bias - ((draw >> 16) & kEvenLanes)) & kSlotTops;
+    // Lanes 0, 1 at bits 30, 31 and lanes 2, 3 at bits 62, 63.
+    const uint64_t pairs = (even >> 1) | odd;
+    return (pairs | pairs << 30) & 0xF000000000000000ull;
+}
+
+} // namespace
+
 Bitstream
 sngUnipolar(double p, size_t length, Xoshiro256ss &rng)
 {
     p = std::clamp(p, 0.0, 1.0);
     // Compare 16-bit lanes of each 64-bit draw against a 16-bit
-    // threshold: 4 stream bits per generator call. The 1/65536 value
-    // quantization is far below stochastic noise at practical lengths.
+    // threshold: 4 stream bits per generator call, draw d filling bits
+    // [4d, 4d + 4). The 1/65536 value quantization is far below
+    // stochastic noise at practical lengths.
     const auto threshold =
-        static_cast<uint32_t>(std::llround(p * 65536.0));
+        static_cast<uint64_t>(std::llround(p * 65536.0));
+    const uint64_t slot_bias = (uint64_t{1} << 31) + threshold - 1;
+    const uint64_t bias = slot_bias | slot_bias << 32;
     Bitstream s(length);
-    auto &words = s.mutableWords();
-    size_t bit = 0;
-    while (bit < length) {
-        uint64_t draw = rng.next();
-        for (int lane = 0; lane < 4 && bit < length; ++lane, ++bit) {
-            uint32_t r = static_cast<uint32_t>(draw >> (16 * lane)) & 0xFFFF;
-            if (r < threshold)
-                words[bit / 64] |= uint64_t{1} << (bit % 64);
-        }
+    // Each draw's nibble enters at the top of the word and moves down
+    // four bits per later draw, so draw 0 ends in bits 0..3. The tail
+    // word takes only the draws its bits need and is shifted down the
+    // rest of the way; bits of its last draw past length are masked.
+    size_t draws = (length + 3) / 4;
+    for (uint64_t &out : s.mutableWords()) {
+        const size_t n = std::min<size_t>(draws, 16);
+        uint64_t word = 0;
+        for (size_t d = 0; d < n; ++d)
+            word = (word >> 4) | drawNibble(rng.next(), bias);
+        out = word >> (4 * (16 - n));
+        draws -= n;
     }
+    s.maskTail();
     return s;
 }
 

@@ -11,6 +11,8 @@ own absolute gate: it must sustain at least --min-binary-ratio x
 (default 5x) the fused-SC single-image images/sec, with per-topology
 binary/fused ratios trend-checked against committed history; the
 SC-vs-BNN trained mini-LeNet accuracy delta is reported informationally.
+Each batch-ratio verdict carries the batch call's median and IQR over
+the bench's timed reps when the fresh JSON records them.
 
 Serving: check BENCH_serving.json's gate block — the dynamic
 micro-batching server must sustain strictly higher images/sec than the
@@ -116,6 +118,14 @@ def check_topologies(fresh_doc, committed_doc, args):
     return ok
 
 
+def spread_note(median, iqr):
+    """' (batch median M ms, IQR Q ms)' when the run carries both,
+    else '' (JSONs that predate the warmed-up timed reps)."""
+    if median is None or iqr is None:
+        return ""
+    return f" (batch median {float(median):.1f} ms, IQR {float(iqr):.1f} ms)"
+
+
 def check_batch(fresh_doc, committed_doc, args):
     """Weight-stationary batch-path gate. Absolute: the LeNet-5
     micro-batch must sustain at least --min-batch-ratio x the
@@ -132,8 +142,12 @@ def check_batch(fresh_doc, committed_doc, args):
         return True
     ratio = float(ratio)
     ok = ratio >= args.min_batch_ratio
+    runs = batch.get("runs") or [{}]
+    one_thread = runs[0] if isinstance(runs[0], dict) else {}
+    note = spread_note(one_thread.get("ms_median"),
+                       one_thread.get("ms_iqr"))
     print(f"bench_check: lenet5 batch path {ratio:.2f}x single-image "
-          f"ips (floor {args.min_batch_ratio:.2f}x): "
+          f"ips (floor {args.min_batch_ratio:.2f}x){note}: "
           f"{'OK' if ok else 'REGRESSION'}")
 
     fresh_topos = fresh_doc.get("topologies", {})
@@ -148,13 +162,15 @@ def check_batch(fresh_doc, committed_doc, args):
         if fresh_r is None:
             continue
         fresh_r = float(fresh_r)
+        note = spread_note(entry.get("batch_ms_median"),
+                           entry.get("batch_ms_iqr"))
         prev = committed_topos.get(name)
         prev_r = (prev.get("batch_ips_per_single_ips")
                   if isinstance(prev, dict) else None)
         if prev_r is None:
             print(f"bench_check: topology {name} batch ratio "
-                  f"{fresh_r:.2f}x (no committed history — skipping "
-                  "gate)")
+                  f"{fresh_r:.2f}x{note} (no committed history — "
+                  "skipping gate)")
             continue
         prev_r = float(prev_r)
         if prev_r <= 0:
@@ -162,8 +178,8 @@ def check_batch(fresh_doc, committed_doc, args):
         rel = fresh_r / prev_r
         entry_ok = rel >= floor
         print(f"bench_check: topology {name} batch ratio {prev_r:.2f}x "
-              f"-> {fresh_r:.2f}x ({rel:.2f}x, floor {floor:.2f}x): "
-              f"{'OK' if entry_ok else 'REGRESSION'}")
+              f"-> {fresh_r:.2f}x ({rel:.2f}x, floor {floor:.2f}x)"
+              f"{note}: {'OK' if entry_ok else 'REGRESSION'}")
         ok = ok and entry_ok
     return ok
 
