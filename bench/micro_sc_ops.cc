@@ -1,13 +1,20 @@
 /**
  * @file
  * Host-side throughput microbenchmarks of the SC simulator primitives
- * (google-benchmark): stream generation, gate ops, counting, FSMs.
+ * (google-benchmark): stream generation, gate ops, counting, FSMs,
+ * and the engine's max-pooling kernel over count planes.
  */
+
+#include <algorithm>
+#include <bit>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "blocks/pooling.h"
 #include "sc/btanh.h"
 #include "sc/counter.h"
+#include "sc/fused.h"
 #include "sc/ops.h"
 #include "sc/rng.h"
 #include "sc/sng.h"
@@ -123,6 +130,75 @@ BM_Btanh(benchmark::State &state)
         static_cast<int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_Btanh);
+
+/**
+ * One engine-shaped blocks::binaryMaxPoolPlanesBatch call: @p pixels
+ * pixels of four pooling windows each, one whole-stream L = 1024
+ * range, c = 16, accumulating counters, parity-substituted LSBs. The
+ * window counts are synthetic APC column counts over @p taps lines
+ * (Binomial(taps, 1/2)), each window of a pixel nudged up by a
+ * different fraction of a count so the selector settles on a winner
+ * at a pixel-dependent point, as trained windows do.
+ */
+void
+BM_MaxPoolPlanesBatch(benchmark::State &state, size_t taps, size_t pixels)
+{
+    constexpr size_t kLen = 1024;
+    constexpr size_t kWords = kLen / 64;
+    constexpr size_t kWindows = 4;
+    const size_t cap = planeCapForTaps(taps);
+    const size_t pstride = cap + 1;
+    SplitMix64 rng(taps * 1000 + pixels);
+    std::vector<std::vector<uint64_t>> bufs(pixels * kWindows);
+    std::vector<const uint64_t *> planes;
+    for (size_t b = 0; b < bufs.size(); ++b) {
+        // Four tail words cover the group-sum quad loads' overread.
+        bufs[b].assign(kWords * pstride + 4, 0);
+        const size_t nudge = (b + b / kWindows) % kWindows;
+        for (size_t i = 0; i < kLen; ++i) {
+            size_t c = rng.nextBelow(8) < nudge ? 1 : 0;
+            for (size_t t = 0; t < taps; t += 64) {
+                const size_t n = std::min<size_t>(64, taps - t);
+                const uint64_t mask =
+                    n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+                c += static_cast<size_t>(std::popcount(rng.next() & mask));
+            }
+            c = std::min(c, taps);
+            uint64_t *word = bufs[b].data() + (i / 64) * pstride;
+            const uint64_t bit = uint64_t{1} << (i % 64);
+            for (size_t p = 0; p < cap; ++p)
+                if ((c >> p) & 1)
+                    word[p] |= bit;
+            if (rng.next() & 1)
+                word[cap] |= bit;
+        }
+        planes.push_back(bufs[b].data());
+    }
+    std::vector<scdcnn::blocks::MaxPoolCarryState> states(pixels);
+    std::vector<scdcnn::blocks::MaxPoolCarryState *> state_ptrs;
+    std::vector<std::vector<uint16_t>> outs(pixels,
+                                            std::vector<uint16_t>(kLen));
+    std::vector<uint16_t *> out_ptrs;
+    for (size_t j = 0; j < pixels; ++j) {
+        state_ptrs.push_back(&states[j]);
+        out_ptrs.push_back(outs[j].data());
+    }
+    for (auto _ : state) {
+        for (auto &s : states)
+            s.reset(kWindows);
+        scdcnn::blocks::binaryMaxPoolPlanesBatch(
+            planes.data(), pixels, kWindows, cap, /*parity=*/true, 0, kLen,
+            16, /*accumulate=*/true, state_ptrs.data(), out_ptrs.data());
+        benchmark::DoNotOptimize(outs[0].data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(pixels * kLen));
+}
+// conv1: 5x5 window + bias (cap 5), a 5-block run of 3 images per call.
+BENCHMARK_CAPTURE(BM_MaxPoolPlanesBatch, conv1, 26, 60);
+// conv2: 20 channels x 5x5 + bias (cap 9), 50 pixels per call.
+BENCHMARK_CAPTURE(BM_MaxPoolPlanesBatch, conv2, 501, 50);
 
 } // namespace
 

@@ -120,30 +120,27 @@ maxPoolStreamsReference(const std::vector<sc::BitstreamView> &inputs,
     return out;
 }
 
-namespace {
-
-/**
- * Shared pooling-segment walk of the ranged Figure 8 selectors: for
- * every pooling segment intersecting [abs_begin, abs_begin + n_cycles)
- * — local sub-range [lo, hi) — forward the currently selected input,
- * add every input's evidence to the carried counters, and decide a new
- * winner only when the range covers the segment's end; a segment
- * straddling the range boundary keeps its partial evidence in the
- * carried counters. The forwarding and evidence metrics are the only
- * things that differ between the stream and binary-count selectors.
- */
-template <typename Forward, typename Evidence>
 void
-rangedSelectorWalk(size_t n_inputs, size_t abs_begin, size_t n_cycles,
-                   size_t segment_len, bool accumulate,
-                   MaxPoolCarryState &state, Forward &&forward,
-                   Evidence &&evidence)
+maxPoolStreamsRange(const uint64_t *const *inputs, size_t n_inputs,
+                    size_t abs_begin, size_t n_cycles, size_t segment_len,
+                    bool accumulate, MaxPoolCarryState &state,
+                    uint64_t *out)
 {
     SCDCNN_ASSERT(n_inputs > 0, "max pooling with no inputs");
     SCDCNN_ASSERT(segment_len > 0, "segment length must be positive");
     SCDCNN_ASSERT(state.counters.size() == n_inputs,
                   "pool state holds %zu counters for %zu inputs",
                   state.counters.size(), n_inputs);
+    SCDCNN_ASSERT(abs_begin % 64 == 0,
+                  "range begin %zu not word-aligned", abs_begin);
+    const size_t n_words = (n_cycles + 63) / 64;
+    std::fill(out, out + n_words, uint64_t{0});
+    // For every pooling segment intersecting the range — local
+    // sub-range [lo, hi) — forward the currently selected input, add
+    // every input's evidence to the carried counters, and decide a new
+    // winner only when the range covers the segment's end; a segment
+    // straddling the range boundary keeps its partial evidence in the
+    // carried counters.
     size_t pos = abs_begin;
     const size_t end = abs_begin + n_cycles;
     while (pos < end) {
@@ -151,9 +148,26 @@ rangedSelectorWalk(size_t n_inputs, size_t abs_begin, size_t n_cycles,
         const size_t chunk_end = std::min(end, seg_end);
         const size_t lo = pos - abs_begin;
         const size_t hi = chunk_end - abs_begin;
-        forward(state.selected, lo, hi);
+        // Forward by word copy with boundary masks (the pooling
+        // segment rarely starts or ends on a word boundary).
+        const uint64_t *src = inputs[state.selected];
+        const size_t w0 = lo / 64;
+        const size_t w1 = (hi - 1) / 64;
+        for (size_t w = w0; w <= w1; ++w) {
+            uint64_t mask = ~uint64_t{0};
+            if (w == w0)
+                mask &= ~uint64_t{0} << (lo % 64);
+            if (w == w1) {
+                const size_t t = ((hi - 1) % 64) + 1;
+                if (t < 64)
+                    mask &= (uint64_t{1} << t) - 1;
+            }
+            out[w] |= src[w] & mask;
+        }
+        // Evidence: masked word popcounts replace the bit counters.
         for (size_t k = 0; k < n_inputs; ++k)
-            state.counters[k] += evidence(k, lo, hi);
+            state.counters[k] += sc::countOnes(
+                sc::BitstreamView(inputs[k], n_cycles), lo, hi);
         if (chunk_end == seg_end) {
             size_t best = 0;
             uint64_t best_count = 0;
@@ -169,45 +183,6 @@ rangedSelectorWalk(size_t n_inputs, size_t abs_begin, size_t n_cycles,
         }
         pos = chunk_end;
     }
-}
-
-} // namespace
-
-void
-maxPoolStreamsRange(const uint64_t *const *inputs, size_t n_inputs,
-                    size_t abs_begin, size_t n_cycles, size_t segment_len,
-                    bool accumulate, MaxPoolCarryState &state,
-                    uint64_t *out)
-{
-    SCDCNN_ASSERT(abs_begin % 64 == 0,
-                  "range begin %zu not word-aligned", abs_begin);
-    const size_t n_words = (n_cycles + 63) / 64;
-    std::fill(out, out + n_words, uint64_t{0});
-    rangedSelectorWalk(
-        n_inputs, abs_begin, n_cycles, segment_len, accumulate, state,
-        // Forward by word copy with boundary masks (the pooling
-        // segment rarely starts or ends on a word boundary).
-        [&](size_t selected, size_t lo, size_t hi) {
-            const uint64_t *src = inputs[selected];
-            const size_t w0 = lo / 64;
-            const size_t w1 = (hi - 1) / 64;
-            for (size_t w = w0; w <= w1; ++w) {
-                uint64_t mask = ~uint64_t{0};
-                if (w == w0)
-                    mask &= ~uint64_t{0} << (lo % 64);
-                if (w == w1) {
-                    const size_t t = ((hi - 1) % 64) + 1;
-                    if (t < 64)
-                        mask &= (uint64_t{1} << t) - 1;
-                }
-                out[w] |= src[w] & mask;
-            }
-        },
-        // Evidence: masked word popcounts replace the bit counters.
-        [&](size_t k, size_t lo, size_t hi) {
-            return sc::countOnes(sc::BitstreamView(inputs[k], n_cycles),
-                                 lo, hi);
-        });
 }
 
 sc::Bitstream
@@ -367,24 +342,63 @@ binaryMaxPoolFused(const std::vector<std::vector<uint16_t>> &counts,
     }
 }
 
+namespace {
+
+/**
+ * One pixel's Figure 8 selector over a pooling call's 16-cycle groups:
+ * records in @p row the input each range-local group g < @p n_groups
+ * is forwarded from, adds the group sums (input k's at
+ * sums[k * sums_stride + g]) to the counters, and after every group
+ * that ends a pooling segment — the segment holds @p seg_groups
+ * groups, group 0 is @p phase groups into one, and only the first
+ * @p full_groups groups can end one — selects the argmax (ties to the
+ * earliest input, as a priority comparator would). With accumulate the
+ * counters are the prefix sums of the group sums. @p kInputs fixes the
+ * input count at compile time so the counters live in registers; 0
+ * takes it from @p n_inputs.
+ */
+template <size_t kInputs>
 void
-binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
-                   size_t abs_begin, size_t n_cycles, size_t segment_len,
-                   bool accumulate, MaxPoolCarryState &state, uint16_t *out)
+selectorWalk(const uint16_t *sums, size_t sums_stride, size_t n_inputs,
+             size_t n_groups, size_t full_groups, size_t seg_groups,
+             size_t phase, bool accumulate, MaxPoolCarryState &state,
+             uint8_t *row)
 {
-    // The shared walk with the bit counters replaced by count
-    // accumulators (SIMD-dispatched segment sums) and forwarding by
-    // element copy.
-    rangedSelectorWalk(
-        n_inputs, abs_begin, n_cycles, segment_len, accumulate, state,
-        [&](size_t selected, size_t lo, size_t hi) {
-            std::copy(counts[selected] + lo, counts[selected] + hi,
-                      out + lo);
-        },
-        [&](size_t k, size_t lo, size_t hi) {
-            return sc::simd::avx2SumU16(counts[k] + lo, hi - lo);
-        });
+    const size_t n = kInputs != 0 ? kInputs : n_inputs;
+    SCDCNN_ASSERT(state.counters.size() == n,
+                  "pool state holds %zu counters for %zu inputs",
+                  state.counters.size(), n);
+    uint64_t fixed[kInputs != 0 ? kInputs : 1];
+    uint64_t *cnt = state.counters.data();
+    if constexpr (kInputs != 0) {
+        std::copy(cnt, cnt + kInputs, fixed);
+        cnt = fixed;
+    }
+    auto sel = static_cast<uint8_t>(state.selected);
+    for (size_t g = 0; g < n_groups; ++g) {
+        row[g] = sel;
+        for (size_t k = 0; k < n; ++k)
+            cnt[k] += sums[k * sums_stride + g];
+        if (++phase < seg_groups || g >= full_groups)
+            continue;
+        phase = 0;
+        size_t best = 0;
+        uint64_t best_count = cnt[0];
+        for (size_t k = 1; k < n; ++k) {
+            const bool wins = cnt[k] > best_count;
+            best_count = wins ? cnt[k] : best_count;
+            best = wins ? k : best;
+        }
+        sel = static_cast<uint8_t>(best);
+        if (!accumulate)
+            std::fill(cnt, cnt + n, uint64_t{0});
+    }
+    state.selected = sel;
+    if constexpr (kInputs != 0)
+        std::copy(fixed, fixed + kInputs, state.counters.begin());
 }
+
+} // namespace
 
 void
 binaryMaxPoolPlanesBatch(const uint64_t *const *planes, size_t n_images,
@@ -402,103 +416,54 @@ binaryMaxPoolPlanesBatch(const uint64_t *const *planes, size_t n_images,
     const size_t pstride = plane_cap + 1;
     const size_t end = abs_begin + n_cycles;
 
-    if (segment_len % 16 == 0 && plane_cap <= 12) {
-        // Group-granular fast path (covers the paper's c = 16): with
-        // abs_begin word-aligned, every chunk boundary except a final
-        // mid-stream-less tail lands on a 16-cycle group, so segment
-        // evidence reduces to precomputed per-word group sums (one
-        // vectorized byte-popcount pass per plane quad) and forwarding
-        // spreads exactly the groups it emits. A partial tail group
-        // (the stream's last word) is exact because the producer
-        // zero-masks cycles past the stream length; its spread writes
-        // the full 16-entry group, which stays inside the caller's
-        // word-granular output buffer.
+    if (segment_len % 16 == 0 && plane_cap <= 12 && n_inputs <= 256) {
+        // Group-granular fast path (covers the paper's c = 16; the
+        // selection table holds bytes): with abs_begin word-aligned,
+        // every pooling-segment boundary lands on a 16-cycle group, so
+        // segment evidence reduces to precomputed per-group count sums
+        // and forwarding spreads exactly the groups it emits. A
+        // partial tail group (the stream's last word) is exact because
+        // the producer zero-masks cycles past the stream length; its
+        // spread writes the full 16-entry group, which stays inside
+        // the caller's word-granular output buffer.
         const size_t range_words = (n_cycles + 63) / 64;
+        const size_t n_groups = (n_cycles + 15) / 16;
+        const size_t sums_stride = range_words * 4;
         sc::simd::PlaneSumWeights wts;
         sc::simd::planeSumWeightsInit(wts, plane_cap, parity);
-        thread_local std::vector<uint32_t> gsums;
-        thread_local std::vector<const uint64_t *> selp;
-        thread_local std::vector<uint16_t *> outp;
-        thread_local std::vector<uint64_t> cnt;
-        thread_local std::vector<uint32_t> sel;
-        gsums.resize(n_images * n_inputs * range_words * 4);
-        selp.resize(n_images);
-        outp.resize(n_images);
-        cnt.resize(n_images * n_inputs);
-        sel.resize(n_images);
-        // One dispatch builds the whole (image, input, group) sum
+        thread_local std::vector<uint16_t> gsums;
+        thread_local std::vector<uint8_t> table;
+        gsums.resize(n_images * n_inputs * sums_stride);
+        table.resize(n_images * n_groups);
+        // One dispatch builds the whole (pixel, input, group) sum
         // table: planes' (j, k) buffer order matches the Multi
         // contract, and entry g of a buffer is contiguous
         // (base + (g/4)*4 + g%4 == base + g).
         sc::simd::avx2PlaneWordSumsMulti(planes, n_images * n_inputs,
                                          pstride, range_words, wts,
                                          gsums.data());
-        // The walk runs on flat local copies of the carried selector
-        // state — the per-(image, chunk) loads of the carried-state
-        // objects are a measurable share of the walk at c = 16.
+        // Pixel-outer walk: each pixel's counters stay in registers
+        // for the whole range, its sums are read in order, and its
+        // choices fill its row of the (pixel, group) selection table.
+        // Every pixel shares the range's segment boundaries.
+        const size_t seg_groups = segment_len / 16;
+        const size_t phase = (abs_begin / 16) % seg_groups;
         for (size_t j = 0; j < n_images; ++j) {
-            const MaxPoolCarryState &state = *states[j];
-            SCDCNN_ASSERT(state.counters.size() == n_inputs,
-                          "pool state holds %zu counters for %zu inputs",
-                          state.counters.size(), n_inputs);
-            sel[j] = static_cast<uint32_t>(state.selected);
-            std::copy(state.counters.begin(), state.counters.end(),
-                      cnt.begin() + j * n_inputs);
+            const uint16_t *sums =
+                gsums.data() + j * n_inputs * sums_stride;
+            uint8_t *row = table.data() + j * n_groups;
+            if (n_inputs == 4)
+                selectorWalk<4>(sums, sums_stride, 4, n_groups,
+                                n_cycles / 16, seg_groups, phase,
+                                accumulate, *states[j], row);
+            else
+                selectorWalk<0>(sums, sums_stride, n_inputs, n_groups,
+                                n_cycles / 16, seg_groups, phase,
+                                accumulate, *states[j], row);
         }
-        size_t pos = abs_begin;
-        while (pos < end) {
-            const size_t seg_end = (pos / segment_len + 1) * segment_len;
-            const size_t chunk_end = std::min(end, seg_end);
-            const size_t g0 = (pos - abs_begin) / 16;
-            const size_t g1 = (chunk_end - abs_begin + 15) / 16;
-            const bool decide = chunk_end == seg_end;
-            // Selections are stable within a chunk (decisions happen
-            // only at its end), so forward the whole micro-batch per
-            // group in one dispatch.
-            for (size_t g = g0; g < g1; ++g) {
-                const size_t woff = (g / 4) * pstride;
-                for (size_t j = 0; j < n_images; ++j) {
-                    selp[j] = planes[j * n_inputs + sel[j]] + woff;
-                    outp[j] = outs[j] + g * 16;
-                }
-                sc::simd::avx2SpreadPlanesGroupMulti(
-                    selp.data(), n_images, plane_cap, parity, g % 4,
-                    outp.data());
-            }
-            for (size_t j = 0; j < n_images; ++j) {
-                uint64_t *cj = cnt.data() + j * n_inputs;
-                const uint32_t *js =
-                    gsums.data() + j * n_inputs * range_words * 4;
-                for (size_t k = 0; k < n_inputs; ++k) {
-                    const uint32_t *ks = js + k * range_words * 4;
-                    uint64_t sum = 0;
-                    for (size_t g = g0; g < g1; ++g)
-                        sum += ks[g];
-                    cj[k] += sum;
-                }
-                if (decide) {
-                    size_t best = 0;
-                    uint64_t best_count = 0;
-                    for (size_t k = 0; k < n_inputs; ++k) {
-                        if (cj[k] > best_count) {
-                            best_count = cj[k];
-                            best = k;
-                        }
-                    }
-                    if (!accumulate)
-                        std::fill(cj, cj + n_inputs, uint64_t{0});
-                    sel[j] = static_cast<uint32_t>(best);
-                }
-            }
-            pos = chunk_end;
-        }
-        for (size_t j = 0; j < n_images; ++j) {
-            MaxPoolCarryState &state = *states[j];
-            state.selected = sel[j];
-            std::copy(cnt.begin() + j * n_inputs,
-                      cnt.begin() + (j + 1) * n_inputs,
-                      state.counters.begin());
-        }
+        sc::simd::avx2SpreadPlanesSelected(planes, n_images, n_inputs,
+                                           plane_cap, parity, table.data(),
+                                           n_groups, outs);
         return;
     }
 

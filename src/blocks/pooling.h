@@ -50,11 +50,12 @@ maxPoolStreamsReference(const std::vector<sc::BitstreamView> &inputs,
  * Carried state of a segment-streamed Figure 8 selector: the
  * per-input counters (bit counters for streams, accumulators for
  * binary counts) and the currently selected input. A stream processed
- * range by range through the *Range functions below is bit-exact with
- * the corresponding whole-stream kernel — selection decisions happen
- * at the same absolute pooling-segment boundaries with the same
- * accumulated evidence, partial pooling segments straddling a range
- * boundary included.
+ * range by range through maxPoolStreamsRange or
+ * binaryMaxPoolPlanesBatch is bit-exact with the corresponding
+ * whole-stream kernel — selection decisions happen at the same
+ * absolute pooling-segment boundaries with the same accumulated
+ * evidence, partial pooling segments straddling a range boundary
+ * included.
  */
 struct MaxPoolCarryState
 {
@@ -149,34 +150,32 @@ void binaryAveragePoolingSignedRange(const uint16_t *const *counts,
                                      size_t n_cycles, int *out);
 
 /**
- * Range-streamed binaryMaxPoolFused over segment-local count buffers:
- * counts[k][i] is input k's count at absolute cycle abs_begin + i.
- * See maxPoolStreamsRange for the carry contract.
- */
-void binaryMaxPoolRange(const uint16_t *const *counts, size_t n_inputs,
-                        size_t abs_begin, size_t n_cycles,
-                        size_t segment_len, bool accumulate,
-                        MaxPoolCarryState &state, uint16_t *out);
-
-/**
- * Batch-axis binaryMaxPoolRange over count *planes* instead of
- * materialized per-cycle counts (the sc::fusedProductPlanesMultiBatch
- * form, plane_cap planes plus a parity word per range-local 64-cycle
- * word): one call pools a whole set of pixels (images) whose pooling
- * segments share the same boundaries, so the chunk walk is computed
- * once. The
- * Figure 8 selector only ever emits the input selected by the
- * *previous* segment, so the losing inputs' per-cycle counts are never
- * needed: segment evidence comes straight from plane popcounts, and
- * only the selected input's words are transposed back to counts — the
- * bulk of the transpose work the counts form pays for every input.
- * planes[j * n_inputs + k] points at (image j, input k)'s plane words
- * and *states[j] is image j's carried selector state;
- * @p parity selects the approximate-counter LSB substitution, matching
- * the producer's `approximate`. @p abs_begin must be word-aligned (the
- * producer's range starts on a word). Pooled counts for image j land
- * at outs[j], bit-exact with binaryMaxPoolRange over the transposed
- * counts.
+ * Range-streamed binary-domain max pooling over count *planes* for a
+ * batch of pixels (the sc::fusedProductPlanesMultiBatch form,
+ * plane_cap planes plus a parity word per range-local 64-cycle word)
+ * whose pooling segments share the same boundaries. The Figure 8
+ * selector only ever emits the input selected by the *previous*
+ * segment, so the losing inputs' per-cycle counts are never needed:
+ * segment evidence comes straight from plane popcounts, and only the
+ * selected input's words are transposed back to counts.
+ *
+ * On the 16-cycle grid (segment_len % 16 == 0, the paper's c = 16) the
+ * call runs in three passes: a vectorized (pixel, input, 16-cycle
+ * group) table of count sums; a pixel-outer selector walk that keeps
+ * each pixel's counters in registers for the whole range and records
+ * the input every group is forwarded from in a (pixel, group)
+ * selection table — with accumulate, the decision at each segment end
+ * is the argmax of the prefix sums of the group sums, ties to the
+ * earliest input; and one spread of every group from the input the
+ * table names. Other segment lengths take a masked general path.
+ *
+ * planes[j * n_inputs + k] points at (pixel j, input k)'s plane words
+ * and *states[j] is pixel j's carried selector state (see
+ * MaxPoolCarryState); @p parity selects the approximate-counter LSB
+ * substitution, matching the producer's `approximate`. @p abs_begin
+ * must be word-aligned (the producer's range starts on a word). Pooled
+ * counts for pixel j land at outs[j], bit-exact with
+ * binaryMaxPoolReference over the whole stream of transposed counts.
  */
 void binaryMaxPoolPlanesBatch(const uint64_t *const *planes,
                               size_t n_images, size_t n_inputs,

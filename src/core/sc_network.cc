@@ -701,8 +701,8 @@ ScNetwork::runConvSegment(const StreamGrid &in,
                         }
                     }
                 }
-                // The chunk walk of the Figure 8 selector depends only
-                // on the segment range, so one call pools every pixel.
+                // Every pixel's pooling segments end on the same
+                // cycles, so one call pools them all.
                 if (use_apc && use_max)
                     blocks::binaryMaxPoolPlanesBatch(
                         plane_ptrs.data(), n_pairs, 4, plane_cap,

@@ -93,27 +93,33 @@ planeSumWeightsInit(PlaneSumWeights &wts, size_t n_planes, bool parity)
 
 namespace {
 
-/** Scalar twin of the avx2PlaneWordSums reduction. */
+/** Scalar twin of avx2PlaneWordSumsMulti. */
 void
-planeWordSumsScalar(const uint64_t *pw, const PlaneSumWeights &wts,
-                    uint32_t *sums)
+planeWordSumsScalar(const uint64_t *const *bufs, size_t n_bufs,
+                    size_t pstride, size_t n_words,
+                    const PlaneSumWeights &wts, uint16_t *sums)
 {
-    for (size_t p = wts.parity ? 1 : 0; p < wts.n_planes; ++p) {
-        const uint64_t v = pw[p];
-        for (size_t g = 0; g < 4; ++g)
-            sums[g] += static_cast<uint32_t>(__builtin_popcountll(
-                           (v >> (16 * g)) & 0xFFFF))
-                       << p;
-    }
-    if (wts.parity) {
-        const uint64_t lsb = pw[wts.n_planes];
-        for (size_t g = 0; g < 4; ++g)
-            sums[g] += static_cast<uint32_t>(
-                __builtin_popcountll((lsb >> (16 * g)) & 0xFFFF));
+    for (size_t b = 0; b < n_bufs; ++b) {
+        for (size_t q = 0; q < n_words; ++q) {
+            const uint64_t *pw = bufs[b] + q * pstride;
+            uint16_t *dst = sums + (b * n_words + q) * 4;
+            for (size_t g = 0; g < 4; ++g) {
+                const auto group = [g](uint64_t v) {
+                    return static_cast<unsigned>(
+                        __builtin_popcountll((v >> (16 * g)) & 0xFFFF));
+                };
+                unsigned sum = 0;
+                for (size_t p = wts.base; p < wts.n_planes; ++p)
+                    sum += group(pw[p]) << p;
+                if (wts.parity)
+                    sum += group(pw[wts.n_planes]);
+                dst[g] = static_cast<uint16_t>(sum);
+            }
+        }
     }
 }
 
-/** Scalar twin of the avx2SpreadPlanesGroup transpose. */
+/** Scalar twin of the spreadGroup transpose. */
 void
 spreadPlanesGroupScalar(const uint64_t *pw, size_t n_planes, bool parity,
                         size_t group, uint16_t *out)
@@ -129,6 +135,22 @@ spreadPlanesGroupScalar(const uint64_t *pw, size_t n_planes, bool parity,
                 static_cast<uint16_t>((pw[n_planes] >> b) & 1));
         out[i] = c;
     }
+}
+
+/** Scalar twin of avx2SpreadPlanesSelected. */
+void
+spreadPlanesSelectedScalar(const uint64_t *const *planes, size_t n_pixels,
+                           size_t n_inputs, size_t n_planes, bool parity,
+                           const uint8_t *sel, size_t n_groups,
+                           uint16_t *const *outs)
+{
+    const size_t pstride = n_planes + 1;
+    for (size_t j = 0; j < n_pixels; ++j)
+        for (size_t g = 0; g < n_groups; ++g)
+            spreadPlanesGroupScalar(
+                planes[j * n_inputs + sel[j * n_groups + g]] +
+                    (g / 4) * pstride,
+                n_planes, parity, g % 4, outs[j] + g * 16);
 }
 
 } // namespace
@@ -161,45 +183,42 @@ horizontalSum64(__m256i v)
     return lanes[0] + lanes[1] + lanes[2] + lanes[3];
 }
 
-/** Expand 16 bits into 16 uint16 lanes of 0/1 scaled by @p weight. */
-__attribute__((target("avx2"))) inline __m256i
-spreadBits16(uint16_t bits, __m256i lane_bit, short weight)
-{
-    const __m256i v = _mm256_set1_epi16(static_cast<short>(bits));
-    const __m256i m =
-        _mm256_cmpeq_epi16(_mm256_and_si256(v, lane_bit), lane_bit);
-    return _mm256_and_si256(m, _mm256_set1_epi16(weight));
-}
-
 /** Column counts of one 16-cycle group of a word's bit-planes: plane j
  *  is pw[j * stride], and lane l of the result holds the count of
  *  column 16 * group + l. With @p parity the count LSB is replaced by
  *  that column's bit of the parity word pw[n_planes * stride] (the
- *  approximate-counter substitution). */
+ *  approximate-counter substitution), so plane 0 is never read. */
 __attribute__((target("avx2"))) inline __m256i
 spreadGroup(const uint64_t *pw, size_t stride, size_t n_planes,
             bool parity, size_t group)
 {
-    const __m256i lane_bit = _mm256_setr_epi16(
-        1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7,
-        1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
-        static_cast<short>(1 << 15));
+    // Lane l's column bit is bit l % 8 of byte 2 * group + l / 8 of the
+    // plane word: a byte shuffle of the broadcast word puts that byte
+    // under the lane (lanes 0-7 sit in the low 128-bit half, 8-15 in
+    // the high one), a mask test widens the bit to 0 / all-ones, and
+    // Horner's rule, planes high to low, weights it (acc = 2 acc + bit,
+    // with the all-ones lane as -1).
+    const __m256i bytes = _mm256_add_epi16(
+        _mm256_setr_epi16(-0x8000, -0x8000, -0x8000, -0x8000, -0x8000,
+                          -0x8000, -0x8000, -0x8000, -0x7FFF, -0x7FFF,
+                          -0x7FFF, -0x7FFF, -0x7FFF, -0x7FFF, -0x7FFF,
+                          -0x7FFF),
+        _mm256_set1_epi16(static_cast<short>(2 * group)));
+    const __m256i bit = _mm256_setr_epi16(1, 2, 4, 8, 16, 32, 64, 128, 1,
+                                          2, 4, 8, 16, 32, 64, 128);
+    const auto column = [&](uint64_t word) __attribute__((target("avx2"))) {
+        const __m256i b = _mm256_shuffle_epi8(
+            _mm256_set1_epi64x(static_cast<long long>(word)), bytes);
+        return _mm256_cmpeq_epi16(_mm256_and_si256(b, bit), bit);
+    };
     __m256i acc = _mm256_setzero_si256();
-    for (size_t j = 0; j < n_planes; ++j) {
-        const auto bits =
-            static_cast<uint16_t>(pw[j * stride] >> (group * 16));
-        acc = _mm256_or_si256(
-            acc,
-            spreadBits16(bits, lane_bit, static_cast<short>(1 << j)));
-    }
-    if (parity) {
-        const auto bits =
-            static_cast<uint16_t>(pw[n_planes * stride] >> (group * 16));
-        acc = _mm256_or_si256(
-            _mm256_and_si256(acc,
-                             _mm256_set1_epi16(static_cast<short>(~1))),
-            spreadBits16(bits, lane_bit, 1));
-    }
+    const size_t low = parity ? 1 : 0;
+    for (size_t j = n_planes; j-- > low;)
+        acc = _mm256_sub_epi16(_mm256_add_epi16(acc, acc),
+                               column(pw[j * stride]));
+    if (parity)
+        acc = _mm256_sub_epi16(_mm256_add_epi16(acc, acc),
+                               column(pw[n_planes * stride]));
     return acc;
 }
 
@@ -496,81 +515,49 @@ avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes, bool parity,
 }
 
 __attribute__((target("avx2"))) static void
-avx2SpreadPlanesGroupImpl(const uint64_t *pw, size_t n_planes,
-                          bool parity, size_t group, uint16_t *out)
-{
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out),
-                        spreadGroup(pw, 1, n_planes, parity, group));
-}
-
-void
-avx2SpreadPlanesGroup(const uint64_t *pw, size_t n_planes, bool parity,
-                      size_t group, uint16_t *out)
-{
-    SCDCNN_ASSERT(n_planes < 16, "plane count %zu too large", n_planes);
-    if (enabled()) {
-        avx2SpreadPlanesGroupImpl(pw, n_planes, parity, group, out);
-        return;
-    }
-    spreadPlanesGroupScalar(pw, n_planes, parity, group, out);
-}
-
-__attribute__((target("avx2"))) static void
-avx2PlaneWordSumsImpl(const uint64_t *pw, const PlaneSumWeights &wts,
-                      uint32_t *sums)
+avx2PlaneWordSumsMultiImpl(const uint64_t *const *bufs, size_t n_bufs,
+                           size_t pstride, size_t n_words,
+                           const PlaneSumWeights &wts, uint16_t *sums)
 {
     // One quad = planes [base + 4q, base + 4q + 4) in the four 64-bit
     // ymm lanes. maddubs pairs byte popcounts with the per-byte
     // relative digit weights 2^i: a 16-bit product lane covers bytes
-    // 2i, 2i+1 — one 16-cycle group of one plane — so summing the four
-    // 64-bit lanes' matching sublanes yields the quad's four group
-    // sums (<= 4 planes * 16 * 8 = 512, no maddubs saturation since
-    // each pair is <= 128).
+    // 2i, 2i+1 — one 16-cycle group of one plane (<= 16 * 8 = 128, no
+    // maddubs saturation). Scaled by the quad's shift, every lane and
+    // every partial sum stays below the 16-bit group-sum bound, so the
+    // quads and the parity word (all-ones weights in the first lane of
+    // its broadcast) add up in 16-bit lanes; folding the four 64-bit
+    // lanes leaves the word's four group sums.
+    __m256i w[3];
+    __m128i shift[3];
     for (size_t q = 0; q < wts.quads; ++q) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(pw + wts.base + q * 4));
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(wts.w[q]));
-        const __m256i prod = _mm256_maddubs_epi16(popcountBytes(v), w);
-        __m128i t = _mm_add_epi16(_mm256_castsi256_si128(prod),
-                                  _mm256_extracti128_si256(prod, 1));
-        t = _mm_add_epi16(t, _mm_srli_si128(t, 8));
-        const auto packed = static_cast<uint64_t>(_mm_cvtsi128_si64(t));
-        for (size_t g = 0; g < 4; ++g)
-            sums[g] += static_cast<uint32_t>((packed >> (16 * g)) &
-                                             0xFFFF)
-                       << wts.shift[q];
+        w[q] = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(wts.w[q]));
+        shift[q] = _mm_cvtsi32_si128(static_cast<int>(wts.shift[q]));
     }
-    if (wts.parity) {
-        const uint64_t lsb = pw[wts.n_planes];
-        for (size_t g = 0; g < 4; ++g)
-            sums[g] += static_cast<uint32_t>(
-                __builtin_popcountll((lsb >> (16 * g)) & 0xFFFF));
-    }
-}
-
-void
-avx2PlaneWordSums(const uint64_t *pw, const PlaneSumWeights &wts,
-                  uint32_t *sums)
-{
-    if (enabled()) {
-        avx2PlaneWordSumsImpl(pw, wts, sums);
-        return;
-    }
-    planeWordSumsScalar(pw, wts, sums);
-}
-
-__attribute__((target("avx2"))) static void
-avx2PlaneWordSumsMultiImpl(const uint64_t *const *bufs, size_t n_bufs,
-                           size_t pstride, size_t n_words,
-                           const PlaneSumWeights &wts, uint32_t *sums)
-{
+    const __m256i parity_w = _mm256_setr_epi64x(0x0101010101010101, 0, 0, 0);
     for (size_t b = 0; b < n_bufs; ++b) {
         const uint64_t *pw = bufs[b];
-        uint32_t *dst = sums + b * n_words * 4;
+        uint16_t *dst = sums + b * n_words * 4;
         for (size_t q = 0; q < n_words; ++q, pw += pstride, dst += 4) {
-            dst[0] = dst[1] = dst[2] = dst[3] = 0;
-            avx2PlaneWordSumsImpl(pw, wts, dst);
+            __m256i acc = _mm256_setzero_si256();
+            for (size_t i = 0; i < wts.quads; ++i) {
+                const __m256i v = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(pw + wts.base + i * 4));
+                acc = _mm256_add_epi16(
+                    acc, _mm256_sll_epi16(
+                             _mm256_maddubs_epi16(popcountBytes(v), w[i]),
+                             shift[i]));
+            }
+            if (wts.parity)
+                acc = _mm256_add_epi16(
+                    acc, _mm256_maddubs_epi16(
+                             popcountBytes(_mm256_set1_epi64x(
+                                 static_cast<long long>(pw[wts.n_planes]))),
+                             parity_w));
+            __m128i t = _mm_add_epi16(_mm256_castsi256_si128(acc),
+                                      _mm256_extracti128_si256(acc, 1));
+            t = _mm_add_epi16(t, _mm_srli_si128(t, 8));
+            _mm_storel_epi64(reinterpret_cast<__m128i *>(dst), t);
         }
     }
 }
@@ -578,46 +565,49 @@ avx2PlaneWordSumsMultiImpl(const uint64_t *const *bufs, size_t n_bufs,
 void
 avx2PlaneWordSumsMulti(const uint64_t *const *bufs, size_t n_bufs,
                        size_t pstride, size_t n_words,
-                       const PlaneSumWeights &wts, uint32_t *sums)
+                       const PlaneSumWeights &wts, uint16_t *sums)
 {
     if (enabled()) {
         avx2PlaneWordSumsMultiImpl(bufs, n_bufs, pstride, n_words, wts,
                                    sums);
         return;
     }
-    for (size_t b = 0; b < n_bufs; ++b) {
-        const uint64_t *pw = bufs[b];
-        uint32_t *dst = sums + b * n_words * 4;
-        for (size_t q = 0; q < n_words; ++q, pw += pstride, dst += 4) {
-            dst[0] = dst[1] = dst[2] = dst[3] = 0;
-            planeWordSumsScalar(pw, wts, dst);
-        }
-    }
+    planeWordSumsScalar(bufs, n_bufs, pstride, n_words, wts, sums);
 }
 
 __attribute__((target("avx2"))) static void
-avx2SpreadPlanesGroupMultiImpl(const uint64_t *const *pws, size_t n,
-                               size_t n_planes, bool parity, size_t group,
-                               uint16_t *const *outs)
+avx2SpreadPlanesSelectedImpl(const uint64_t *const *planes,
+                             size_t n_pixels, size_t n_inputs,
+                             size_t n_planes, bool parity,
+                             const uint8_t *sel, size_t n_groups,
+                             uint16_t *const *outs)
 {
-    for (size_t i = 0; i < n; ++i)
-        avx2SpreadPlanesGroupImpl(pws[i], n_planes, parity, group,
-                                  outs[i]);
+    const size_t pstride = n_planes + 1;
+    for (size_t j = 0; j < n_pixels; ++j) {
+        const uint64_t *const *in = planes + j * n_inputs;
+        const uint8_t *row = sel + j * n_groups;
+        for (size_t g = 0; g < n_groups; ++g)
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(outs[j] + g * 16),
+                spreadGroup(in[row[g]] + (g / 4) * pstride, 1, n_planes,
+                            parity, g % 4));
+    }
 }
 
 void
-avx2SpreadPlanesGroupMulti(const uint64_t *const *pws, size_t n,
-                           size_t n_planes, bool parity, size_t group,
-                           uint16_t *const *outs)
+avx2SpreadPlanesSelected(const uint64_t *const *planes, size_t n_pixels,
+                         size_t n_inputs, size_t n_planes, bool parity,
+                         const uint8_t *sel, size_t n_groups,
+                         uint16_t *const *outs)
 {
     SCDCNN_ASSERT(n_planes < 16, "plane count %zu too large", n_planes);
     if (enabled()) {
-        avx2SpreadPlanesGroupMultiImpl(pws, n, n_planes, parity, group,
-                                       outs);
+        avx2SpreadPlanesSelectedImpl(planes, n_pixels, n_inputs, n_planes,
+                                     parity, sel, n_groups, outs);
         return;
     }
-    for (size_t i = 0; i < n; ++i)
-        spreadPlanesGroupScalar(pws[i], n_planes, parity, group, outs[i]);
+    spreadPlanesSelectedScalar(planes, n_pixels, n_inputs, n_planes,
+                               parity, sel, n_groups, outs);
 }
 
 __attribute__((target("avx2"))) size_t
@@ -891,41 +881,21 @@ avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes, bool parity,
 }
 
 void
-avx2SpreadPlanesGroup(const uint64_t *pw, size_t n_planes, bool parity,
-                      size_t group, uint16_t *out)
-{
-    spreadPlanesGroupScalar(pw, n_planes, parity, group, out);
-}
-
-void
-avx2PlaneWordSums(const uint64_t *pw, const PlaneSumWeights &wts,
-                  uint32_t *sums)
-{
-    planeWordSumsScalar(pw, wts, sums);
-}
-
-void
 avx2PlaneWordSumsMulti(const uint64_t *const *bufs, size_t n_bufs,
                        size_t pstride, size_t n_words,
-                       const PlaneSumWeights &wts, uint32_t *sums)
+                       const PlaneSumWeights &wts, uint16_t *sums)
 {
-    for (size_t b = 0; b < n_bufs; ++b) {
-        const uint64_t *pw = bufs[b];
-        uint32_t *dst = sums + b * n_words * 4;
-        for (size_t q = 0; q < n_words; ++q, pw += pstride, dst += 4) {
-            dst[0] = dst[1] = dst[2] = dst[3] = 0;
-            planeWordSumsScalar(pw, wts, dst);
-        }
-    }
+    planeWordSumsScalar(bufs, n_bufs, pstride, n_words, wts, sums);
 }
 
 void
-avx2SpreadPlanesGroupMulti(const uint64_t *const *pws, size_t n,
-                           size_t n_planes, bool parity, size_t group,
-                           uint16_t *const *outs)
+avx2SpreadPlanesSelected(const uint64_t *const *planes, size_t n_pixels,
+                         size_t n_inputs, size_t n_planes, bool parity,
+                         const uint8_t *sel, size_t n_groups,
+                         uint16_t *const *outs)
 {
-    for (size_t i = 0; i < n; ++i)
-        spreadPlanesGroupScalar(pws[i], n_planes, parity, group, outs[i]);
+    spreadPlanesSelectedScalar(planes, n_pixels, n_inputs, n_planes,
+                               parity, sel, n_groups, outs);
 }
 
 size_t

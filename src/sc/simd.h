@@ -126,17 +126,10 @@ size_t avx2ProductPlanesTile(const uint64_t *tile,
 void avx2SpreadPlanesWord(const uint64_t *pw, size_t n_planes,
                           bool parity, uint16_t *out);
 
-/** avx2SpreadPlanesWord for one 16-cycle group of the word (cycles
- *  [group * 16, group * 16 + 16), group < 4), writing 16 counts — the
- *  pooling-segment granularity, so the Figure 8 forwarding never
- *  transposes cycles it does not emit. */
-void avx2SpreadPlanesGroup(const uint64_t *pw, size_t n_planes,
-                           bool parity, size_t group, uint16_t *out);
-
 /**
- * Precomputed byte weights for avx2PlaneWordSums. Quads start at the
- * first live plane (base = 1 under parity, else 0, so no quad is spent
- * on the substituted plane 0): quad q's 32 weight bytes hold the
+ * Precomputed byte weights for avx2PlaneWordSumsMulti. Quads start at
+ * the first live plane (base = 1 under parity, else 0, so no quad is
+ * spent on the substituted plane 0): quad q's 32 weight bytes hold the
  * relative digit values 2^i for planes base + 4q + i (zero for slots
  * past the plane count), and shift[q] = base + 4q rescales the quad's
  * partial sums. Built once per pooling call via planeSumWeightsInit.
@@ -157,39 +150,40 @@ void planeSumWeightsInit(PlaneSumWeights &wts, size_t n_planes,
                          bool parity);
 
 /**
- * Per-16-cycle-group count sums of one word's planes: accumulates into
- * sums[g] (g < 4) the sum of the word's per-cycle counts over cycles
- * [16g, 16g + 16), i.e. popcount-weighted plane digits (with the
- * parity substitution when wts.parity). One byte-popcount + maddubs
- * pass per 4-plane quad — the Figure 8 selector's segment evidence
- * without materializing any per-cycle counts. The quad loads read
- * whole 4-plane groups, so pw must stay readable for wts.quads * 4
- * words (pad the plane buffer's tail by two words). Falls back to a
- * scalar loop when AVX2 is not enabled.
- */
-void avx2PlaneWordSums(const uint64_t *pw, const PlaneSumWeights &wts,
-                       uint32_t *sums);
-
-/**
- * avx2PlaneWordSums over @p n_words consecutive plane words of
- * @p n_bufs plane buffers (word q of buffer b at bufs[b] + q * pstride,
- * pstride = planes + parity word): writes — does not accumulate — the
- * four group sums of (b, q) to sums[(b * n_words + q) * 4 + g]. One
- * runtime dispatch for a whole pooling call's sum table instead of one
- * per word. The tail-padding requirement of avx2PlaneWordSums applies
- * to every buffer.
+ * Per-16-cycle-group count sums of @p n_words consecutive plane words
+ * of @p n_bufs plane buffers (word q of buffer b at bufs[b] + q *
+ * pstride, pstride = planes + parity word): writes to
+ * sums[(b * n_words + q) * 4 + g] the sum of (b, q)'s per-cycle counts
+ * over cycles [16g, 16g + 16), i.e. popcount-weighted plane digits
+ * (with the parity substitution when wts.parity). With at most 12
+ * planes a group sum is at most 16 * 4095, so it fits 16 bits. One
+ * byte-popcount + maddubs pass per 4-plane quad, reduced in vector
+ * registers — the Figure 8 selector's segment evidence without
+ * materializing any per-cycle counts — and one runtime dispatch for a
+ * whole pooling call's sum table. The quad loads read whole 4-plane
+ * groups, so each word's planes must stay readable for
+ * wts.base + wts.quads * 4 words (pad the plane buffer's tail by two
+ * words). Falls back to a scalar loop when AVX2 is not enabled.
  */
 void avx2PlaneWordSumsMulti(const uint64_t *const *bufs, size_t n_bufs,
                             size_t pstride, size_t n_words,
-                            const PlaneSumWeights &wts, uint32_t *sums);
+                            const PlaneSumWeights &wts, uint16_t *sums);
 
-/** avx2SpreadPlanesGroup for the same 16-cycle group of @p n plane
- *  words (pws[i] points at one word's planes, the group's counts land
- *  at outs[i][0..16)) — one dispatch per pooling chunk across the
- *  micro-batch. */
-void avx2SpreadPlanesGroupMulti(const uint64_t *const *pws, size_t n,
-                                size_t n_planes, bool parity,
-                                size_t group, uint16_t *const *outs);
+/**
+ * Table-driven forwarding of the Figure 8 selector over count planes:
+ * for pixel j < @p n_pixels and range-local 16-cycle group g <
+ * @p n_groups, transposes group g of the plane buffer
+ * planes[j * n_inputs + sel[j * n_groups + g]] (word q's planes at
+ * + q * (n_planes + 1), parity word last, as avx2SpreadPlanesWord
+ * reads them) into the 16 counts outs[j][16 g .. 16 g + 16). Only the
+ * groups a selector emits are transposed, one dispatch per pooling
+ * call.
+ */
+void avx2SpreadPlanesSelected(const uint64_t *const *planes,
+                              size_t n_pixels, size_t n_inputs,
+                              size_t n_planes, bool parity,
+                              const uint8_t *sel, size_t n_groups,
+                              uint16_t *const *outs);
 
 /**
  * Popcount reduction over full 4-word groups of the word range

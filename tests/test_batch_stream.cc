@@ -207,152 +207,237 @@ TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
     }
 }
 
-TEST_F(BatchKernel, PlanePoolMatchesCountPoolAcrossShapes)
+/** Window contents of a plane-pooling case. */
+enum class PoolWindows
 {
-    // binaryMaxPoolPlanesBatch over canonical count planes must be
-    // bit-exact — outputs and carried selector state — with
-    // binaryMaxPoolRange over the (parity-substituted) transposed
-    // counts: the 16-cycle-grid fast path and the masked general path,
-    // across plane depths, pool widths, batch sizes, segment lengths
-    // on and off the group grid, both counter readings, SIMD on and
-    // off, carried over a word-aligned range split with a partial
-    // zero-masked tail word.
-    constexpr size_t kLen = 200; // 4 words, 8-cycle tail
-    const size_t n_words = (kLen + 63) / 64;
-    sc::SplitMix64 vals(0xB007);
-    for (size_t plane_cap : {size_t{3}, size_t{5}, size_t{9}}) {
-        for (size_t n_inputs : {size_t{2}, size_t{4}}) {
-            for (size_t n_images : {size_t{1}, size_t{3}}) {
-                for (size_t segment_len :
-                     {size_t{16}, size_t{48}, size_t{10}}) {
-                    for (bool parity : {true, false}) {
-                        for (bool accumulate : {true, false}) {
-                            for (bool simd_on : {true, false}) {
-                                sc::simd::setEnabled(simd_on);
-                                const size_t pstride = plane_cap + 1;
-                                const size_t n_bufs =
-                                    n_images * n_inputs;
-                                // Random canonical planes + parity
-                                // word, and the per-cycle counts a
-                                // consumer with the same parity flag
-                                // would see.
-                                std::vector<std::vector<uint64_t>> bufs(
-                                    n_bufs);
-                                std::vector<std::vector<uint16_t>> eff(
-                                    n_bufs);
-                                for (size_t b = 0; b < n_bufs; ++b) {
-                                    // +4 tail words for the pooling
-                                    // quad-load overread.
-                                    bufs[b].assign(n_words * pstride + 4,
-                                                   0);
-                                    eff[b].assign(n_words * 64, 0);
-                                    for (size_t i = 0; i < kLen; ++i) {
-                                        const auto c =
-                                            static_cast<uint16_t>(
-                                                vals.next() &
-                                                ((1u << plane_cap) -
-                                                 1));
-                                        const uint64_t lsb =
-                                            vals.next() & 1;
-                                        const size_t w = i / 64;
-                                        const uint64_t bit =
-                                            uint64_t{1} << (i % 64);
-                                        for (size_t p = 0;
-                                             p < plane_cap; ++p)
-                                            if ((c >> p) & 1)
-                                                bufs[b][w * pstride +
-                                                        p] |= bit;
-                                        if (lsb != 0)
-                                            bufs[b][w * pstride +
-                                                    plane_cap] |= bit;
-                                        eff[b][i] =
-                                            parity ? static_cast<
-                                                         uint16_t>(
-                                                         (c & ~1u) |
-                                                         lsb)
-                                                   : c;
-                                    }
-                                }
-                                std::vector<blocks::MaxPoolCarryState>
-                                    st_p(n_images), st_c(n_images);
-                                std::vector<
-                                    blocks::MaxPoolCarryState *>
-                                    st_ptrs(n_images);
-                                std::vector<std::vector<uint16_t>>
-                                    out_p(n_images), out_c(n_images);
-                                for (size_t j = 0; j < n_images; ++j) {
-                                    st_p[j].reset(n_inputs);
-                                    st_c[j].reset(n_inputs);
-                                    st_ptrs[j] = &st_p[j];
-                                    out_p[j].assign(n_words * 64, 0);
-                                    out_c[j].assign(n_words * 64, 0);
-                                }
-                                // Two ranges: [0, 128) and [128, 200).
-                                for (size_t r0 : {size_t{0},
-                                                  size_t{128}}) {
-                                    const size_t nc =
-                                        std::min(kLen, r0 + 128) - r0;
-                                    std::vector<const uint64_t *> pp(
-                                        n_bufs);
-                                    std::vector<uint16_t *> op(
-                                        n_images);
-                                    for (size_t b = 0; b < n_bufs; ++b)
-                                        pp[b] = bufs[b].data() +
-                                                (r0 / 64) * pstride;
-                                    for (size_t j = 0; j < n_images;
-                                         ++j)
-                                        op[j] = out_p[j].data() + r0;
-                                    blocks::binaryMaxPoolPlanesBatch(
-                                        pp.data(), n_images, n_inputs,
-                                        plane_cap, parity, r0, nc,
-                                        segment_len, accumulate,
-                                        st_ptrs.data(), op.data());
-                                    for (size_t j = 0; j < n_images;
-                                         ++j) {
-                                        std::vector<const uint16_t *>
-                                            cp(n_inputs);
-                                        for (size_t k = 0;
-                                             k < n_inputs; ++k)
-                                            cp[k] = eff[j * n_inputs +
-                                                        k]
-                                                        .data() +
-                                                    r0;
-                                        blocks::binaryMaxPoolRange(
-                                            cp.data(), n_inputs, r0,
-                                            nc, segment_len,
-                                            accumulate, st_c[j],
-                                            out_c[j].data() + r0);
-                                    }
-                                }
-                                for (size_t j = 0; j < n_images; ++j) {
-                                    EXPECT_EQ(
-                                        std::vector<uint16_t>(
-                                            out_p[j].begin(),
-                                            out_p[j].begin() + kLen),
-                                        std::vector<uint16_t>(
-                                            out_c[j].begin(),
-                                            out_c[j].begin() + kLen))
-                                        << "cap=" << plane_cap
-                                        << " inputs=" << n_inputs
-                                        << " seg=" << segment_len
-                                        << " parity=" << parity
-                                        << " acc=" << accumulate
-                                        << " simd=" << simd_on
-                                        << " image=" << j;
-                                    EXPECT_EQ(st_p[j].selected,
-                                              st_c[j].selected)
-                                        << "image=" << j;
-                                    EXPECT_EQ(st_p[j].counters,
-                                              st_c[j].counters)
-                                        << "image=" << j;
-                                }
-                            }
-                        }
-                    }
+    Random,
+    /** Two windows with equal evidence on every 16-cycle group (one is
+     *  the other with each group's cycles reversed) above the rest:
+     *  grid-aligned decisions tie, and the earlier window must win. */
+    MirroredTwins,
+    /** Every count zero: every decision ties, and window 0 must win. */
+    AllZero,
+};
+
+/**
+ * Random canonical count planes plus a parity word per (pixel, window)
+ * buffer, @p len cycles in @p words words, and the per-cycle counts a
+ * consumer with the same parity flag sees.
+ */
+struct PlanePoolCase
+{
+    size_t n_inputs;
+    size_t plane_cap;
+    size_t len;
+    size_t words;
+    std::vector<std::vector<uint64_t>> bufs; //!< (pixel, window) order
+    std::vector<std::vector<uint16_t>> eff;
+
+    PlanePoolCase(size_t n_pixels, size_t n_inputs_, size_t plane_cap_,
+                  size_t len_, bool parity, PoolWindows kind,
+                  sc::SplitMix64 &vals)
+        : n_inputs(n_inputs_), plane_cap(plane_cap_), len(len_),
+          words((len_ + 63) / 64), bufs(n_pixels * n_inputs_),
+          eff(n_pixels * n_inputs_)
+    {
+        // The twins: windows 0 and 1 of a pair, else 1 and 3.
+        const size_t twin_a = n_inputs == 2 ? 0 : 1;
+        const size_t twin_b = n_inputs == 2 ? 1 : 3;
+        for (size_t b = 0; b < bufs.size(); ++b) {
+            // +4 tail words for the pooling quad-load overread.
+            bufs[b].assign(words * (plane_cap + 1) + 4, 0);
+            eff[b].assign(words * 64, 0);
+        }
+        for (size_t b = 0; b < bufs.size(); ++b) {
+            const size_t k = b % n_inputs;
+            if (kind == PoolWindows::MirroredTwins && k == twin_b)
+                continue; // mirrored from twin_a below
+            for (size_t i = 0; i < len; ++i) {
+                auto c = static_cast<uint16_t>(vals.next() &
+                                               ((1u << plane_cap) - 1));
+                uint64_t lsb = vals.next() & 1;
+                if (kind == PoolWindows::AllZero) {
+                    c = 0;
+                    lsb = 0;
+                }
+                if (kind == PoolWindows::MirroredTwins && k != twin_a)
+                    c = static_cast<uint16_t>(c >> 1);
+                setCount(b, i, c, lsb, parity);
+                if (kind == PoolWindows::MirroredTwins && k == twin_a) {
+                    const size_t g = i / 16 * 16;
+                    const size_t mirror = g + std::min<size_t>(len - g, 16) -
+                                          1 - (i - g);
+                    setCount(b + twin_b - twin_a, mirror, c, lsb, parity);
                 }
             }
         }
     }
+
+    void setCount(size_t b, size_t i, uint16_t c, uint64_t lsb, bool parity)
+    {
+        const size_t pstride = plane_cap + 1;
+        uint64_t *word = bufs[b].data() + (i / 64) * pstride;
+        const uint64_t bit = uint64_t{1} << (i % 64);
+        for (size_t p = 0; p < plane_cap; ++p)
+            if ((c >> p) & 1)
+                word[p] |= bit;
+        if (lsb != 0)
+            word[plane_cap] |= bit;
+        eff[b][i] = parity ? static_cast<uint16_t>((c & ~1u) | lsb) : c;
+    }
+
+    /** Pixel @p j's windows' counts over cycles [0, n). */
+    std::vector<std::vector<uint16_t>> counts(size_t j, size_t n) const
+    {
+        std::vector<std::vector<uint16_t>> out;
+        for (size_t k = 0; k < n_inputs; ++k)
+            out.emplace_back(eff[j * n_inputs + k].begin(),
+                             eff[j * n_inputs + k].begin() +
+                                 static_cast<ptrdiff_t>(n));
+        return out;
+    }
+};
+
+/**
+ * Pools every pixel of @p pc range by range (@p range_words words per
+ * binaryMaxPoolPlanesBatch call, pixel j starting from window
+ * j % n_inputs) and checks each pixel against the whole-stream
+ * binaryMaxPoolReference over its parity-substituted counts: the
+ * output, and the carried state the last call leaves — the counters'
+ * evidence since the last decision (since the start with accumulate),
+ * and the selection that decision made, read off the oracle's output
+ * at the segment after it with window k's counts set to k there.
+ */
+void
+checkPlanePool(const PlanePoolCase &pc, size_t range_words,
+               size_t segment_len, bool parity, bool accumulate,
+               const std::string &what)
+{
+    const size_t n_pixels = pc.bufs.size() / pc.n_inputs;
+    const size_t pstride = pc.plane_cap + 1;
+    std::vector<blocks::MaxPoolCarryState> states(n_pixels);
+    std::vector<blocks::MaxPoolCarryState *> state_ptrs;
+    std::vector<std::vector<uint16_t>> outs(
+        n_pixels, std::vector<uint16_t>(pc.words * 64, 0));
+    for (size_t j = 0; j < n_pixels; ++j) {
+        states[j].reset(pc.n_inputs, j % pc.n_inputs);
+        state_ptrs.push_back(&states[j]);
+    }
+    for (size_t w0 = 0; w0 < pc.words; w0 += range_words) {
+        const size_t r0 = w0 * 64;
+        const size_t nc = std::min(pc.len, r0 + range_words * 64) - r0;
+        std::vector<const uint64_t *> pp;
+        for (const auto &buf : pc.bufs)
+            pp.push_back(buf.data() + w0 * pstride);
+        std::vector<uint16_t *> op;
+        for (auto &out : outs)
+            op.push_back(out.data() + r0);
+        blocks::binaryMaxPoolPlanesBatch(
+            pp.data(), n_pixels, pc.n_inputs, pc.plane_cap, parity, r0, nc,
+            segment_len, accumulate, state_ptrs.data(), op.data());
+    }
+    const size_t last = pc.len / segment_len * segment_len;
+    for (size_t j = 0; j < n_pixels; ++j) {
+        const std::string where = what + " pixel=" + std::to_string(j);
+        const size_t first = j % pc.n_inputs;
+        const auto counts = pc.counts(j, pc.len);
+        EXPECT_EQ(std::vector<uint16_t>(outs[j].begin(),
+                                        outs[j].begin() +
+                                            static_cast<ptrdiff_t>(pc.len)),
+                  blocks::binaryMaxPoolReference(counts, segment_len, first,
+                                                 accumulate))
+            << where;
+        auto tagged = pc.counts(j, last);
+        for (size_t k = 0; k < pc.n_inputs; ++k)
+            tagged[k].resize(last + segment_len, static_cast<uint16_t>(k));
+        EXPECT_EQ(states[j].selected,
+                  blocks::binaryMaxPoolReference(tagged, segment_len, first,
+                                                 accumulate)[last])
+            << where;
+        for (size_t k = 0; k < pc.n_inputs; ++k) {
+            uint64_t evidence = 0;
+            for (size_t i = accumulate ? 0 : last; i < pc.len; ++i)
+                evidence += counts[k][i];
+            EXPECT_EQ(states[j].counters[k], evidence)
+                << where << " window=" << k;
+        }
+    }
+}
+
+TEST_F(BatchKernel, PlanePoolMatchesCountPoolAcrossShapes)
+{
+    // binaryMaxPoolPlanesBatch over canonical count planes, carried
+    // range by range, must be bit-exact with the whole-stream oracle
+    // over the (parity-substituted) counts — outputs and carried
+    // selector state — on the 16-cycle-grid fast path and the masked
+    // general path, for random windows, tied twins and all-zero
+    // windows, nonzero starting selections, both counter readings, SIMD
+    // on and off. First small shapes across plane depths, pool widths,
+    // batch sizes and segment lengths on and off the group grid, over
+    // a word-aligned range split with a partial zero-masked tail word.
+    const PoolWindows kinds[] = {PoolWindows::Random,
+                                 PoolWindows::MirroredTwins,
+                                 PoolWindows::AllZero};
+    sc::SplitMix64 vals(0xB007);
+    constexpr size_t kLen = 200; // 4 words, 8-cycle tail
+    for (size_t plane_cap : {size_t{3}, size_t{5}, size_t{9}})
+        for (size_t n_inputs : {size_t{2}, size_t{4}})
+            for (size_t n_images : {size_t{1}, size_t{3}})
+                for (bool parity : {true, false})
+                    for (PoolWindows kind : kinds) {
+                        const PlanePoolCase pc(n_images, n_inputs,
+                                               plane_cap, kLen, parity,
+                                               kind, vals);
+                        for (size_t segment_len :
+                             {size_t{16}, size_t{48}, size_t{10}})
+                            for (bool accumulate : {true, false})
+                                for (bool simd_on : {true, false}) {
+                                    sc::simd::setEnabled(simd_on);
+                                    checkPlanePool(
+                                        pc, 2, segment_len, parity,
+                                        accumulate,
+                                        "cap=" + std::to_string(plane_cap) +
+                                            " inputs=" +
+                                            std::to_string(n_inputs) +
+                                            " images=" +
+                                            std::to_string(n_images) +
+                                            " seg=" +
+                                            std::to_string(segment_len) +
+                                            " parity=" +
+                                            std::to_string(parity) +
+                                            " kind=" +
+                                            std::to_string(int(kind)) +
+                                            " acc=" +
+                                            std::to_string(accumulate) +
+                                            " simd=" +
+                                            std::to_string(simd_on));
+                                }
+                    }
+    // Then the engine's shapes: 60 pixels of four windows (conv1's
+    // 5-block run x 3 images) at conv1's and conv2's plane depths,
+    // L = 1024 as one whole-stream range and as 4-word Progressive
+    // ranges.
+    for (size_t plane_cap : {size_t{5}, size_t{9}})
+        for (PoolWindows kind : kinds) {
+            const PlanePoolCase pc(60, 4, plane_cap, 1024, true, kind,
+                                   vals);
+            for (size_t range_words : {size_t{16}, size_t{4}})
+                for (size_t segment_len : {size_t{16}, size_t{48}})
+                    for (bool accumulate : {true, false})
+                        for (bool simd_on : {true, false}) {
+                            sc::simd::setEnabled(simd_on);
+                            checkPlanePool(
+                                pc, range_words, segment_len, true,
+                                accumulate,
+                                "engine cap=" + std::to_string(plane_cap) +
+                                    " kind=" + std::to_string(int(kind)) +
+                                    " range_words=" +
+                                    std::to_string(range_words) +
+                                    " seg=" + std::to_string(segment_len) +
+                                    " acc=" + std::to_string(accumulate) +
+                                    " simd=" + std::to_string(simd_on));
+                        }
+        }
 }
 
 TEST(FsmBatchStreams, InterleavedStanhMatchesPerStreamAcrossSegments)

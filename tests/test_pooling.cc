@@ -343,44 +343,6 @@ TEST(MaxPoolRange, CarriedStateMatchesWholeStreamKernel)
     }
 }
 
-TEST(BinaryMaxPoolRange, CarriedStateMatchesWholeSequenceKernel)
-{
-    const size_t len = 300;
-    const size_t n_words = (len + 63) / 64;
-    sc::SplitMix64 vals(17);
-    std::vector<std::vector<uint16_t>> counts(4,
-                                              std::vector<uint16_t>(len));
-    for (auto &seq : counts)
-        for (auto &c : seq)
-            c = static_cast<uint16_t>(vals.nextBelow(27));
-    for (size_t segment_len : {size_t{16}, size_t{24}, size_t{7}}) {
-        for (bool accumulate : {false, true}) {
-            std::vector<uint16_t> whole;
-            binaryMaxPoolFused(counts, segment_len, 0, accumulate, whole);
-            for (size_t seg_words : kRangePartitions) {
-                std::vector<uint16_t> stitched(len, 0xFFFF);
-                MaxPoolCarryState state;
-                state.reset(counts.size(), 0);
-                for (size_t w0 = 0; w0 < n_words; w0 += seg_words) {
-                    const size_t w1 = std::min(w0 + seg_words, n_words);
-                    const size_t n_cycles =
-                        std::min(w1 * 64, len) - w0 * 64;
-                    const uint16_t *ptrs[4];
-                    for (size_t k = 0; k < counts.size(); ++k)
-                        ptrs[k] = counts[k].data() + w0 * 64;
-                    binaryMaxPoolRange(ptrs, counts.size(), w0 * 64,
-                                       n_cycles, segment_len, accumulate,
-                                       state, stitched.data() + w0 * 64);
-                }
-                EXPECT_EQ(stitched, whole)
-                    << "segment_len=" << segment_len
-                    << " accumulate=" << accumulate
-                    << " seg_words=" << seg_words;
-            }
-        }
-    }
-}
-
 TEST(AveragePoolingRange, CarriedGeneratorMatchesMuxAdd)
 {
     const size_t len = 300;

@@ -252,11 +252,11 @@ def check_binary(fresh_doc, committed_doc, args):
 
 def check_trace_overhead(doc, args):
     """Armed-tracing overhead gate, absolute (no committed history
-    needed): the bench alternates disarmed and armed fused predicts
-    and reports best-of-reps on each side; the armed side must stay
-    within --max-trace-overhead (default 3%) of the disarmed one, so
-    arming the tracer never quietly becomes a tax on the serving
-    path."""
+    needed): the bench times disarmed and armed fused predicts in
+    adjacent pairs of alternating order and reports the median (and
+    IQR) of the per-pair armed/disarmed ratio; the median must stay
+    within --max-trace-overhead (default 3%), so arming the tracer
+    never quietly becomes a tax on the serving path."""
     block = doc.get("trace_overhead")
     if not isinstance(block, dict):
         print("bench_check: fresh run carries no trace_overhead block "
@@ -269,8 +269,11 @@ def check_trace_overhead(doc, args):
             "bench_check: no trace_overhead.overhead_frac\n")
         sys.exit(2)
     ok = frac <= args.max_trace_overhead
+    iqr = block.get("overhead_iqr")
+    spread = f", pair-ratio IQR {100.0 * float(iqr):.2f}%" if iqr else ""
     print(f"bench_check: armed-tracing overhead {100.0 * frac:+.2f}% "
-          f"(limit {100.0 * args.max_trace_overhead:.2f}%): "
+          f"(median{spread}; "
+          f"limit {100.0 * args.max_trace_overhead:.2f}%): "
           f"{'OK' if ok else 'REGRESSION'}")
     return ok
 
