@@ -644,8 +644,7 @@ main()
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"compiler\": \"%s\",\n", __VERSION__);
-    std::fprintf(f, "  \"simd\": \"%s\",\n",
-                 sc::simd::enabled() ? "avx2" : "scalar");
+    std::fprintf(f, "  \"simd\": \"%s\",\n", bench::simdTier());
     std::fprintf(f, "  \"filter_block\": %zu,\n", sc::kFilterLanes);
     std::fprintf(f, "  \"segment_words\": %zu,\n",
                  cfg.stream_segment_words);

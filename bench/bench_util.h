@@ -92,10 +92,20 @@ cacheKib(int name)
     return bytes > 0 ? bytes / 1024 : 0;
 }
 
+/** The SIMD tier the kernels dispatch to: "avx512" when the image-pair
+ *  APC folds run, "avx2", or "scalar". */
+inline const char *
+simdTier()
+{
+    if (sc::simd::avx512Enabled())
+        return "avx512";
+    return sc::simd::enabled() ? "avx2" : "scalar";
+}
+
 /**
  * Write the host fingerprint object `"host": {...},` at JSON indent 2:
- * CPU model, online CPUs, L1d and L2 size, the SIMD dispatch the
- * kernels took, and the thread count of the pool the bench ran its
+ * CPU model, online CPUs, L1d and L2 size, the SIMD tier the kernels
+ * took, and the thread count of the pool the bench ran its
  * engine on — so every artifact says which host produced it.
  */
 inline void
@@ -109,8 +119,7 @@ writeHostJson(std::FILE *f, size_t pool_threads)
                  cacheKib(_SC_LEVEL1_DCACHE_SIZE));
     std::fprintf(f, "    \"l2_kib\": %ld,\n",
                  cacheKib(_SC_LEVEL2_CACHE_SIZE));
-    std::fprintf(f, "    \"simd\": \"%s\",\n",
-                 sc::simd::enabled() ? "avx2" : "scalar");
+    std::fprintf(f, "    \"simd\": \"%s\",\n", simdTier());
     std::fprintf(f, "    \"pool_threads\": %zu\n", pool_threads);
     std::fprintf(f, "  },\n");
 }

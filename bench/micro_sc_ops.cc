@@ -2,7 +2,8 @@
  * @file
  * Host-side throughput microbenchmarks of the SC simulator primitives
  * (google-benchmark): stream generation, gate ops, counting, FSMs,
- * and the engine's max-pooling kernel over count planes.
+ * the engine's APC tile kernels and its max-pooling kernel over count
+ * planes.
  */
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "sc/fused.h"
 #include "sc/ops.h"
 #include "sc/rng.h"
+#include "sc/simd.h"
 #include "sc/sng.h"
 #include "sc/stanh.h"
 
@@ -130,6 +132,85 @@ BM_Btanh(benchmark::State &state)
         static_cast<int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_Btanh);
+
+/**
+ * One engine-shaped APC batch-kernel call: a run of @p n_blocks filter
+ * blocks over @p taps lines (the last a stride-0 bias line) folded
+ * against the first @p images images of a batch-major arena, over the
+ * whole L = 1024 stream. With @p planes the plane-emitting kernel (the
+ * max-pooled conv layers' form) runs, else the counts kernel (fc's).
+ * Two images per call take the AVX-512 pair fold where the CPU has it,
+ * one image the AVX2 fold; the label names the tier that ran. Items
+ * are folded (image, block, tap, word) lines.
+ */
+void
+BM_ProductTile(benchmark::State &state, size_t taps, size_t n_blocks,
+               bool planes)
+{
+    constexpr size_t kLen = 1024;
+    constexpr size_t kWords = kLen / 64;
+    constexpr size_t kImages = 2;
+    const size_t images = static_cast<size_t>(state.range(0));
+    SngBank bank(taps * 7 + n_blocks);
+    SplitMix64 vals(taps);
+    BatchStreamArena in;
+    in.reset(taps - 1, kImages, kLen);
+    for (size_t t = 0; t + 1 < taps; ++t)
+        for (size_t b = 0; b < kImages; ++b)
+            in.assign(t, b, bank.bipolar(vals.nextInRange(-1, 1), kLen));
+    const Bitstream bias = constantStream(true, kLen);
+    std::vector<BitstreamView> xs0;
+    std::vector<size_t> strides;
+    for (size_t t = 0; t + 1 < taps; ++t) {
+        xs0.push_back(in.view(t, 0));
+        strides.push_back(in.strideWords());
+    }
+    xs0.push_back(bias);
+    strides.push_back(0);
+
+    InterleavedWeightArena arena;
+    arena.reset(n_blocks * kFilterLanes, taps, kLen);
+    for (size_t f = 0; f < n_blocks * kFilterLanes; ++f)
+        for (size_t t = 0; t < taps; ++t)
+            arena.assign(f, t, bank.bipolar(vals.nextInRange(-1, 1), kLen));
+    std::vector<WeightBlockView> blocks;
+    for (size_t g = 0; g < arena.groups(); ++g)
+        blocks.push_back(arena.block(g));
+
+    const uint32_t active[kImages] = {0, 1};
+    const size_t lanes = n_blocks * kFilterLanes;
+    const size_t cap = planeCapForTaps(taps);
+    const size_t plane_lane = kWords * (cap + 1);
+    std::vector<uint64_t> tile;
+    std::vector<uint16_t> counts(images * lanes * kLen);
+    std::vector<uint64_t> plane_out(images * lanes * plane_lane);
+    for (auto _ : state) {
+        if (planes)
+            fusedProductPlanesMultiBatch(xs0, strides, active, images,
+                                         blocks, true, 0, kWords, tile,
+                                         plane_out.data(), cap, plane_lane,
+                                         lanes * plane_lane);
+        else
+            fusedProductCountsMultiBatch(xs0, strides, active, images,
+                                         blocks, true, 0, kWords, tile,
+                                         counts.data(), kLen, lanes * kLen);
+        benchmark::DoNotOptimize(counts.data());
+        benchmark::DoNotOptimize(plane_out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(images * n_blocks * taps *
+                                                 kWords));
+    if (!simd::enabled())
+        state.SetLabel("scalar");
+    else
+        state.SetLabel(images == 2 && simd::avx512Enabled() ? "avx512 pair"
+                                                            : "avx2");
+}
+// conv2: 20 channels x 5x5 + bias, a 7-block run, planes for pooling.
+BENCHMARK_CAPTURE(BM_ProductTile, conv2, 501, 7, true)->Arg(1)->Arg(2);
+// fc1: 800 inputs + bias, a 4-block run, counts for the activation.
+BENCHMARK_CAPTURE(BM_ProductTile, fc1, 801, 4, false)->Arg(1)->Arg(2);
 
 /**
  * One engine-shaped blocks::binaryMaxPoolPlanesBatch call: @p pixels

@@ -251,7 +251,7 @@ fusedProductCountTotalRange(const std::vector<BitstreamView> &xs,
 namespace {
 
 /**
- * The scalar twin of the AVX2 tile kernels over words [w, end_word) of
+ * The scalar twin of the SIMD tile kernels over words [w, end_word) of
  * one image's operand tile (word row q = w - begin_word at
  * tile + q * taps): per (word, block, lane), word outer and block
  * inner like the SIMD loop, foldWord over the lane's match lines
@@ -313,23 +313,68 @@ checkRunOperands(const std::vector<BitstreamView> &xs0,
 
 /**
  * The one gather of the run kernels: image @p img's words
- * [begin_word, end_word) of every tap into the [word][tap] tile. Each
- * tap's range is read as consecutive words (whole cache lines), so
- * the fold that follows never touches the site-major arena again.
+ * [begin_word, end_word) of every tap into the [word][tap] tile at
+ * @p tile. Each tap's range is read as consecutive words (whole cache
+ * lines), so the fold that follows never touches the site-major arena
+ * again.
  */
 void
 gatherTile(const std::vector<BitstreamView> &xs0,
            const std::vector<size_t> &x_strides, size_t img,
-           size_t begin_word, size_t end_word, std::vector<uint64_t> &tile)
+           size_t begin_word, size_t end_word, uint64_t *tile)
 {
     const size_t taps = xs0.size();
     const size_t n_words = end_word - begin_word;
-    tile.resize(n_words * taps);
     for (size_t t = 0; t < taps; ++t) {
         const uint64_t *src =
             xs0[t].words + img * x_strides[t] + begin_word;
         for (size_t q = 0; q < n_words; ++q)
             tile[q * taps + t] = src[q];
+    }
+}
+
+/**
+ * The image loop of the run kernels: active images go in pairs, in
+ * active-list order, while the AVX-512 pair kernels are selected and
+ * two remain; a lone image (an odd count's last, or every image
+ * without that tier) goes alone. Per group, each image's tile is
+ * gathered into @p tile (the pair's tiles back to back), fold(tiles,
+ * n_tiles, j) runs the SIMD kernel for active positions j ..
+ * j + n_tiles and returns the words it folded, and the scalar twin
+ * finishes each image from there through emit(j, word, r, planes,
+ * used, lsb).
+ */
+template <class Fold, class Emit>
+void
+foldRunImages(const std::vector<BitstreamView> &xs0,
+              const std::vector<size_t> &x_strides, const uint32_t *images,
+              size_t n_images, std::span<const WeightBlockView> blocks,
+              size_t parity_lines, size_t begin_word, size_t end_word,
+              std::vector<uint64_t> &tile, const Fold &fold,
+              const Emit &emit)
+{
+    const bool vector = simd::enabled() && blocks[0].taps >= 2;
+    const size_t group =
+        vector && simd::avx512Enabled() && n_images >= 2 ? 2 : 1;
+    const size_t tile_words = (end_word - begin_word) * blocks[0].taps;
+    tile.resize(group * tile_words);
+    const uint64_t *const tiles[2] = {tile.data(),
+                                      tile.data() + (group - 1) * tile_words};
+    for (size_t j = 0; j < n_images;) {
+        const size_t n_tiles = std::min(group, n_images - j);
+        for (size_t k = 0; k < n_tiles; ++k)
+            gatherTile(xs0, x_strides, images[j + k], begin_word, end_word,
+                       tile.data() + k * tile_words);
+        const size_t w = begin_word + (vector ? fold(tiles, n_tiles, j) : 0);
+        for (size_t k = 0; k < n_tiles; ++k)
+            foldTileScalar(tiles[k], blocks, parity_lines, begin_word, w,
+                           end_word,
+                           [&, pos = j + k](size_t word, size_t r,
+                                            const uint64_t *planes,
+                                            int used, uint64_t lsb) {
+                               emit(pos, word, r, planes, used, lsb);
+                           });
+        j += n_tiles;
     }
 }
 
@@ -348,24 +393,27 @@ fusedProductCountsMultiBatch(const std::vector<BitstreamView> &xs0,
     checkRunOperands(xs0, x_strides, blocks, begin_word, end_word);
     const size_t length = blocks[0].length;
     const size_t parity_lines = parityLines(approximate, blocks[0].taps);
-    for (size_t j = 0; j < n_images; ++j) {
-        gatherTile(xs0, x_strides, images[j], begin_word, end_word, tile);
-        uint16_t *img_out = out + j * image_stride;
-        size_t w = begin_word;
-        if (simd::enabled() && blocks[0].taps >= 2)
-            w += simd::avx2ProductCountsTile(
-                tile.data(), blocks.data(), blocks.size(), parity_lines,
-                begin_word, end_word, img_out, lane_stride);
-        foldTileScalar(
-            tile.data(), blocks, parity_lines, begin_word, w, end_word,
-            [&](size_t word, size_t r, const uint64_t *planes, int used,
-                uint64_t lsb) {
-                spreadCounts(planes, used, lsb, approximate,
-                             std::min<size_t>(64, length - word * 64),
-                             img_out + r * lane_stride +
-                                 (word - begin_word) * 64);
-            });
-    }
+    foldRunImages(
+        xs0, x_strides, images, n_images, blocks, parity_lines, begin_word,
+        end_word, tile,
+        [&](const uint64_t *const *tiles, size_t n_tiles, size_t j) {
+            uint16_t *const img_out = out + j * image_stride;
+            if (n_tiles == 1)
+                return simd::avx2ProductCountsTile(
+                    tiles[0], blocks.data(), blocks.size(), parity_lines,
+                    begin_word, end_word, img_out, lane_stride);
+            uint16_t *const outs[2] = {img_out, img_out + image_stride};
+            return simd::avx512ProductCountsTilePair(
+                tiles, blocks.data(), blocks.size(), parity_lines,
+                begin_word, end_word, outs, lane_stride);
+        },
+        [&](size_t j, size_t word, size_t r, const uint64_t *planes,
+            int used, uint64_t lsb) {
+            spreadCounts(planes, used, lsb, approximate,
+                         std::min<size_t>(64, length - word * 64),
+                         out + j * image_stride + r * lane_stride +
+                             (word - begin_word) * 64);
+        });
 }
 
 size_t
@@ -390,28 +438,30 @@ fusedProductPlanesMultiBatch(const std::vector<BitstreamView> &xs0,
                   "plane cap %zu below width %zu for %zu taps", plane_cap,
                   planeCapForTaps(taps), taps);
     const size_t parity_lines = parityLines(approximate, taps);
-    for (size_t j = 0; j < n_images; ++j) {
-        gatherTile(xs0, x_strides, images[j], begin_word, end_word, tile);
-        uint64_t *img_out = out + j * image_stride;
-        size_t w = begin_word;
-        if (simd::enabled() && taps >= 2)
-            w += simd::avx2ProductPlanesTile(
-                tile.data(), blocks.data(), blocks.size(), parity_lines,
-                begin_word, end_word, plane_cap, img_out, lane_stride);
-        foldTileScalar(
-            tile.data(), blocks, parity_lines, begin_word, w, end_word,
-            [&](size_t word, size_t r, const uint64_t *planes, int used,
-                uint64_t lsb) {
-                SCDCNN_ASSERT(static_cast<size_t>(used) <= plane_cap,
-                              "fold used %d planes, cap %zu", used,
-                              plane_cap);
-                uint64_t *dst = img_out + r * lane_stride +
-                                (word - begin_word) * (plane_cap + 1);
-                std::fill(dst, dst + plane_cap, uint64_t{0});
-                std::copy(planes, planes + used, dst);
-                dst[plane_cap] = lsb;
-            });
-    }
+    foldRunImages(
+        xs0, x_strides, images, n_images, blocks, parity_lines, begin_word,
+        end_word, tile,
+        [&](const uint64_t *const *tiles, size_t n_tiles, size_t j) {
+            uint64_t *const img_out = out + j * image_stride;
+            if (n_tiles == 1)
+                return simd::avx2ProductPlanesTile(
+                    tiles[0], blocks.data(), blocks.size(), parity_lines,
+                    begin_word, end_word, plane_cap, img_out, lane_stride);
+            uint64_t *const outs[2] = {img_out, img_out + image_stride};
+            return simd::avx512ProductPlanesTilePair(
+                tiles, blocks.data(), blocks.size(), parity_lines,
+                begin_word, end_word, plane_cap, outs, lane_stride);
+        },
+        [&](size_t j, size_t word, size_t r, const uint64_t *planes,
+            int used, uint64_t lsb) {
+            SCDCNN_ASSERT(static_cast<size_t>(used) <= plane_cap,
+                          "fold used %d planes, cap %zu", used, plane_cap);
+            uint64_t *dst = out + j * image_stride + r * lane_stride +
+                            (word - begin_word) * (plane_cap + 1);
+            std::fill(dst, dst + plane_cap, uint64_t{0});
+            std::copy(planes, planes + used, dst);
+            dst[plane_cap] = lsb;
+        });
 }
 
 void

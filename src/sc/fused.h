@@ -22,8 +22,9 @@
  * can be packed into one contiguous StreamArena and streamed through;
  * convenience overloads accept Bitstream pointer vectors. The
  * carry-save plane loop and the popcount reductions dispatch to the
- * AVX2 kernels of sc/simd.h at runtime, with the portable scalar path
- * kept as the always-built default.
+ * SIMD kernels of sc/simd.h (AVX2, and AVX-512 for image pairs) at
+ * runtime, with the portable scalar path kept as the always-built
+ * default.
  *
  * Every fused kernel has a bit-serial reference twin (reference*) that
  * computes the same result one cycle at a time through the per-bit
@@ -246,8 +247,10 @@ void referenceBinaryPool4(const int32_t *windows, size_t n_pixels,
 // others. The blocks of a run share taps and length; only the last
 // may be ragged (lanes < kFilterLanes). Lane f of block b is run lane
 // r = b * kFilterLanes + f; a ragged block's missing lanes are not
-// written. @p tile is caller-owned scratch (resized to the range's
-// words x taps).
+// written. On the AVX-512 tier the active images are folded in pairs,
+// in active-list order, one 512-bit fold serving both images' tiles;
+// an odd count's last image is folded alone. @p tile is caller-owned
+// scratch (resized to the range's words x taps, twice that for pairs).
 
 /**
  * Run-of-blocks XNOR-multiply + parallel-counter column counts over a
@@ -320,8 +323,8 @@ void shiftViewsForImage(const std::vector<BitstreamView> &xs0,
 /**
  * Reusable per-thread scratch for the batch-axis engine path: one
  * instance per worker chunk holds the image-0 operand windows of a
- * run's position, the per-tap strides, one image's operand tile, the
- * count/product blocks of a group of images
+ * run's position, the per-tap strides, the operand tiles of one image
+ * or an image pair, the count/product blocks of a group of images
  * ([window][image][run lane][cycle]), per-pixel pooling buffers, and
  * the pointer tables the pooling and interleaved FSM transforms
  * consume.
@@ -330,7 +333,7 @@ struct BatchFusedWorkspace
 {
     std::vector<BitstreamView> xs0[4]; //!< image-0 views per window
     std::vector<size_t> x_strides;     //!< per-tap image word strides
-    std::vector<uint64_t> tile;        //!< one image's [word][tap] tile
+    std::vector<uint64_t> tile;        //!< [word][tap] tile(s), 1-2 images
     std::vector<BitstreamView> xs_img; //!< shifted views (MUX/output)
     std::vector<uint16_t> selects;     //!< one image's MUX selects
     std::vector<uint16_t> counts;      //!< [window][image][lane][cycle]

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
 #include "sc/fused.h"
@@ -20,8 +21,9 @@ namespace simd {
 
 namespace {
 
-/** -1 = not yet decided, 0 = scalar, 1 = AVX2. */
-std::atomic<int> g_enabled{-1};
+/** The SIMD tier in use: -1 = not yet decided, 0 = scalar, 1 = AVX2,
+ *  2 = AVX2 plus the AVX-512 pair kernels. */
+std::atomic<int> g_tier{-1};
 
 /** SCDCNN_FORCE_SCALAR forces the scalar path when set to anything
  *  but empty or "0" (so FORCE_SCALAR=0 keeps AVX2 selected). */
@@ -32,12 +34,28 @@ forcedScalar()
     return v != nullptr && *v != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
+/** The highest tier the binary and the CPU support. */
 int
-decide()
+hostTier()
 {
-    const int on = available() && !forcedScalar() ? 1 : 0;
-    g_enabled.store(on, std::memory_order_relaxed);
-    return on;
+#if SCDCNN_SIMD_X86
+    if (!__builtin_cpu_supports("avx2"))
+        return 0;
+    return __builtin_cpu_supports("avx512f") ? 2 : 1;
+#else
+    return 0;
+#endif
+}
+
+int
+tier()
+{
+    int state = g_tier.load(std::memory_order_relaxed);
+    if (state < 0) {
+        state = forcedScalar() ? 0 : hostTier();
+        g_tier.store(state, std::memory_order_relaxed);
+    }
+    return state;
 }
 
 } // namespace
@@ -45,26 +63,25 @@ decide()
 bool
 available()
 {
-#if SCDCNN_SIMD_X86
-    return __builtin_cpu_supports("avx2");
-#else
-    return false;
-#endif
+    return hostTier() > 0;
 }
 
 bool
 enabled()
 {
-    int state = g_enabled.load(std::memory_order_relaxed);
-    if (state < 0)
-        state = decide();
-    return state == 1;
+    return tier() >= 1;
+}
+
+bool
+avx512Enabled()
+{
+    return tier() == 2;
 }
 
 void
 setEnabled(bool on)
 {
-    g_enabled.store(on && available() ? 1 : 0, std::memory_order_relaxed);
+    g_tier.store(on ? hostTier() : 0, std::memory_order_relaxed);
 }
 
 void
@@ -235,62 +252,119 @@ spreadWord(const uint64_t *pw, size_t stride, size_t n_planes,
 
 // --- The APC fold: mismatch lines through a Harley-Seal chain ---------
 //
-// One fold reduces n lines of 4 x 64 columns (four filter lanes of one
-// word, or four consecutive words of one stream) to the canonical
+// One fold reduces n lines of V::kLanes x 64 columns to the canonical
 // bit-planes of their column counts, plus the approximate counter's
-// parity word. Every AVX2 APC kernel is an emitter around it.
+// parity word. Every APC kernel is an emitter around it. A vector
+// policy V supplies the register, its carry-save adder and its line
+// loads:
 //
+// - Avx2Fold: a ymm of four 64-bit columns (the four filter lanes of
+//   one image's word, or four consecutive words of one stream); a
+//   carry-save adder is five and/or/xor ops.
+// - Avx512Fold: a zmm holding an image pair, image A's four filter
+//   lanes in its low 256 bits and image B's in its high 256, against
+//   the block's weight row broadcast to both halves; a carry-save
+//   adder is two vpternlogq (0x96 sum, 0xE8 majority carry).
+//
+// The schedule is written once, in foldApc:
 // - The fold counts *mismatch* lines x ^ w, so no line pays for the
 //   XNOR's complement; the match count c = n - m is formed once per
 //   fold by a bit-sliced borrow chain over planeCapForTaps(n) planes.
 // - Lines accumulate through a Harley-Seal carry-save chain: each 16
 //   lines feed the ones, twos, fours and eights planes through 15
-//   carry-save adders of 5 ops, and the sixteens carry ripples into the
-//   high planes at 2 ops per plane. With the 16 mismatch XORs that is
-//   91 vector ops + 2 per high plane per 16 lines (101 at LeNet5's
-//   conv2 fan-in of 501, 9 planes), against ~139 for the XNOR,
-//   compressor tree and 5-plane ripple it replaced. The schedule is
-//   fixed: no data-dependent branch remains in the hot loop.
+//   carry-save adders, and the sixteens carry ripples into the high
+//   planes at 2 ops per plane. With the 16 mismatch XORs that is 91
+//   vector ops per 16 lines on AVX2 and 46 (plus the pair's 16 masked
+//   broadcasts) on AVX-512 for twice the lanes, + 2 per high plane.
+//   The schedule is fixed: no data-dependent branch remains in the
+//   hot loop.
 // - Leftover lines (n % 16) fold in pairs through one carry-save adder
 //   whose twos carry ripples up; an odd last line takes a half adder.
 // - The ones plane is the running XOR of every folded line, so the
 //   parity of the first min(4, n) lines is read off it as soon as they
 //   are in (ones starts at zero), and inverted when counting
 //   mismatches of an odd number of lines.
+//
+// foldApc and the emitters carry no target attribute: the policies'
+// target-specific code reaches them only through references (no
+// vector crosses a call of a function built without AVX, which would
+// change its ABI), and the target-attributed kernel entry points are
+// `flatten`, so the whole chain is inlined and compiled for the
+// entry point's ISA.
 
-/** Carry-save adder: a + b + c = lo + 2 * hi, per bit column. */
-__attribute__((target("avx2"))) inline void
-csa(__m256i &hi, __m256i &lo, __m256i a, __m256i b, __m256i c)
+/** 256-bit fold lanes: one image, kFilterLanes columns per register. */
+struct Avx2Fold
 {
-    const __m256i u = _mm256_xor_si256(a, b);
-    hi = _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(u, c));
-    lo = _mm256_xor_si256(u, c);
-}
+    using Vec = __m256i;
+    static constexpr size_t kImages = 1;
+    static constexpr size_t kLanes = kFilterLanes;
 
-/** Half adder of @p carry into @p plane; carry becomes the carry-out. */
-__attribute__((target("avx2"))) inline void
-halfAdd(__m256i &plane, __m256i &carry)
-{
-    const __m256i t = _mm256_and_si256(plane, carry);
-    plane = _mm256_xor_si256(plane, carry);
-    carry = t;
-}
-
-/** Mismatch lines of the tile kernels: word row x of one image's
- *  operand tile, tap i broadcast against the block's four lane words. */
-struct TileLines
-{
-    const uint64_t *x;
-    const uint64_t *wrow;
-
-    __attribute__((target("avx2"))) __m256i operator()(size_t i) const
+    /** Carry-save adder: a + b + c = lo + 2 * hi, per bit column. */
+    __attribute__((target("avx2"))) static void
+    csa(Vec &hi, Vec &lo, const Vec &a, const Vec &b, const Vec &c)
     {
-        return _mm256_xor_si256(
-            _mm256_set1_epi64x(static_cast<long long>(x[i])),
+        const Vec u = _mm256_xor_si256(a, b);
+        const Vec carry =
+            _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(u, c));
+        lo = _mm256_xor_si256(u, c);
+        hi = carry;
+    }
+
+    /** Mismatch line @p i of a tile word row (rows[0]): the tap's word
+     *  broadcast against the block's kFilterLanes weight words. */
+    __attribute__((target("avx2"))) static void
+    tileLine(Vec &line, const uint64_t *const *rows, const uint64_t *wrow,
+             size_t i)
+    {
+        line = _mm256_xor_si256(
+            _mm256_set1_epi64x(static_cast<long long>(rows[0][i])),
             _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
                 wrow + i * kFilterLanes)));
     }
 };
+
+/** 512-bit fold lanes: an image pair, kFilterLanes columns of each. */
+struct Avx512Fold
+{
+    using Vec = __m512i;
+    static constexpr size_t kImages = 2;
+    static constexpr size_t kLanes = 2 * kFilterLanes;
+
+    /** Carry-save adder: a + b + c = lo + 2 * hi, per bit column. */
+    __attribute__((target("avx512f"))) static void
+    csa(Vec &hi, Vec &lo, const Vec &a, const Vec &b, const Vec &c)
+    {
+        const Vec carry = _mm512_ternarylogic_epi64(a, b, c, 0xE8);
+        lo = _mm512_ternarylogic_epi64(a, b, c, 0x96);
+        hi = carry;
+    }
+
+    /** Mismatch line @p i of the pair's word rows: image A's tap word
+     *  in the low four lanes and B's in the high four (one broadcast,
+     *  one masked broadcast) against the weight row in both halves. */
+    __attribute__((target("avx512f"))) static void
+    tileLine(Vec &line, const uint64_t *const *rows, const uint64_t *wrow,
+             size_t i)
+    {
+        line = _mm512_xor_si512(
+            _mm512_mask_set1_epi64(
+                _mm512_set1_epi64(static_cast<long long>(rows[0][i])),
+                0xF0, static_cast<long long>(rows[1][i])),
+            _mm512_maskz_broadcast_i64x4(
+                0xFF, _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+                          wrow + i * kFilterLanes))));
+    }
+};
+
+/** Half adder of @p carry into @p plane; carry becomes the carry-out. */
+template <class Vec>
+inline void
+halfAdd(Vec &plane, Vec &carry)
+{
+    const Vec t = plane & carry;
+    plane ^= carry;
+    carry = t;
+}
 
 /** Lines of the single-image kernel: four consecutive words of stream
  *  i, raw (ws == nullptr) or as mismatches against ws[i]. */
@@ -300,71 +374,78 @@ struct StreamLines
     const BitstreamView *ws;
     size_t w;
 
-    __attribute__((target("avx2"))) __m256i operator()(size_t i) const
+    __attribute__((target("avx2"))) void operator()(size_t i,
+                                                    __m256i &line) const
     {
-        const __m256i x = _mm256_loadu_si256(
+        line = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(xs[i].words + w));
-        if (ws == nullptr)
-            return x;
-        return _mm256_xor_si256(
-            x, _mm256_loadu_si256(
-                   reinterpret_cast<const __m256i *>(ws[i].words + w)));
+        if (ws != nullptr)
+            line = _mm256_xor_si256(
+                line, _mm256_loadu_si256(
+                          reinterpret_cast<const __m256i *>(ws[i].words + w)));
     }
 };
 
 /**
- * The APC fold over lines line(0 .. n): pw[p][0..4) receives plane p
- * of the column counts for p < n_planes = planeCapForTaps(n), and
- * pw[n_planes] the parity of the first @p parity_lines counted lines
- * (zero when parity_lines == 0). With @p mismatch the lines are
- * mismatches and the planes and parity are those of the match lines.
+ * The APC fold over lines 0 .. n, line(i, v) loading line i into v
+ * (through that reference only, see above): pw[p][0..V::kLanes)
+ * receives plane p of the column counts for p < n_planes =
+ * planeCapForTaps(n), and pw[n_planes] the parity of the first
+ * @p parity_lines counted lines (zero when parity_lines == 0). With
+ * @p mismatch the lines are mismatches and the planes and parity are
+ * those of the match lines.
  */
-template <class Lines>
-__attribute__((target("avx2"))) inline void
+template <class V, class Lines>
+inline void
 foldApc(const Lines &line, size_t n, size_t n_planes, size_t parity_lines,
-        bool mismatch, uint64_t (*pw)[4])
+        bool mismatch, uint64_t (*pw)[V::kLanes])
 {
-    const __m256i zero = _mm256_setzero_si256();
-    __m256i ones = zero, twos = zero, fours = zero, eights = zero;
-    __m256i lsb = zero;
-    __m256i high[kMaxCarrySavePlanes]; // planes 4 .. n_planes
-    for (size_t p = 4; p < n_planes; ++p)
-        high[p] = zero;
-    const auto carry_high = [&high, n_planes](__m256i carry)
-        __attribute__((target("avx2"))) {
-            for (size_t p = 4; p < n_planes; ++p)
-                halfAdd(high[p], carry);
-        };
+    using Vec = typename V::Vec;
+    const Vec zero{};
+    Vec ones = zero, twos = zero, fours = zero, eights = zero;
+    Vec lsb = zero;
+    Vec high[kMaxCarrySavePlanes - 4] = {}; // planes 4 .. n_planes
+    const auto carry_high = [&high, n_planes](Vec &carry) {
+        for (size_t p = 4; p < n_planes; ++p)
+            halfAdd(high[p - 4], carry);
+    };
+    // Lines i and i + 1 into ones; their twos carry into @p hi.
+    const auto add_pair = [&line, &ones](Vec &hi, size_t i) {
+        Vec a, b;
+        line(i, a);
+        line(i + 1, b);
+        V::csa(hi, ones, ones, a, b);
+    };
 
     size_t i = 0;
     for (; i + 16 <= n; i += 16) {
-        __m256i twos_a, twos_b, fours_a, fours_b, eights_a, eights_b;
-        __m256i sixteens;
-        csa(twos_a, ones, ones, line(i), line(i + 1));
-        csa(twos_b, ones, ones, line(i + 2), line(i + 3));
+        Vec twos_a, twos_b, fours_a, fours_b, eights_a, eights_b;
+        Vec sixteens;
+        add_pair(twos_a, i);
+        add_pair(twos_b, i + 2);
         if (i == 0)
             lsb = ones; // ones started at zero: lines 0..3's parity
-        csa(fours_a, twos, twos, twos_a, twos_b);
-        csa(twos_a, ones, ones, line(i + 4), line(i + 5));
-        csa(twos_b, ones, ones, line(i + 6), line(i + 7));
-        csa(fours_b, twos, twos, twos_a, twos_b);
-        csa(eights_a, fours, fours, fours_a, fours_b);
-        csa(twos_a, ones, ones, line(i + 8), line(i + 9));
-        csa(twos_b, ones, ones, line(i + 10), line(i + 11));
-        csa(fours_a, twos, twos, twos_a, twos_b);
-        csa(twos_a, ones, ones, line(i + 12), line(i + 13));
-        csa(twos_b, ones, ones, line(i + 14), line(i + 15));
-        csa(fours_b, twos, twos, twos_a, twos_b);
-        csa(eights_b, fours, fours, fours_a, fours_b);
-        csa(sixteens, eights, eights, eights_a, eights_b);
+        V::csa(fours_a, twos, twos, twos_a, twos_b);
+        add_pair(twos_a, i + 4);
+        add_pair(twos_b, i + 6);
+        V::csa(fours_b, twos, twos, twos_a, twos_b);
+        V::csa(eights_a, fours, fours, fours_a, fours_b);
+        add_pair(twos_a, i + 8);
+        add_pair(twos_b, i + 10);
+        V::csa(fours_a, twos, twos, twos_a, twos_b);
+        add_pair(twos_a, i + 12);
+        add_pair(twos_b, i + 14);
+        V::csa(fours_b, twos, twos, twos_a, twos_b);
+        V::csa(eights_b, fours, fours, fours_a, fours_b);
+        V::csa(sixteens, eights, eights, eights_a, eights_b);
         carry_high(sixteens);
     }
     for (; i < n; i += 2) {
-        __m256i carry;
+        Vec carry;
         if (i + 1 < n) {
-            csa(carry, ones, ones, line(i), line(i + 1));
+            add_pair(carry, i);
         } else {
-            carry = line(i);
+            line(i, carry);
             halfAdd(ones, carry);
         }
         if (std::min(i + 2, n) == parity_lines)
@@ -375,34 +456,133 @@ foldApc(const Lines &line, size_t n, size_t n_planes, size_t parity_lines,
         carry_high(carry);
     }
 
-    const __m256i low[4] = {ones, twos, fours, eights};
-    const __m256i all_ones = _mm256_set1_epi8(-1);
-    __m256i borrow = zero;
+    const Vec low[4] = {ones, twos, fours, eights};
+    Vec borrow = zero;
     for (size_t p = 0; p < n_planes; ++p) {
-        __m256i plane = p < 4 ? low[p] : high[p];
+        Vec plane = p < 4 ? low[p] : high[p - 4];
         if (mismatch) {
             // Bit p of n - m, with the borrow of the planes below.
-            const __m256i m = plane;
-            plane = _mm256_xor_si256(m, borrow);
+            const Vec m = plane;
+            plane = m ^ borrow;
             if ((n >> p) & 1) {
-                plane = _mm256_xor_si256(plane, all_ones);
-                borrow = _mm256_and_si256(m, borrow);
+                plane = ~plane;
+                borrow = m & borrow;
             } else {
-                borrow = _mm256_or_si256(m, borrow);
+                borrow = m | borrow;
             }
         }
-        _mm256_store_si256(reinterpret_cast<__m256i *>(pw[p]), plane);
+        std::memcpy(pw[p], &plane, sizeof plane);
     }
     if (parity_lines == 0)
         lsb = zero;
     else if (mismatch && (parity_lines & 1) != 0)
-        lsb = _mm256_xor_si256(lsb, all_ones);
-    _mm256_store_si256(reinterpret_cast<__m256i *>(pw[n_planes]), lsb);
+        lsb = ~lsb;
+    std::memcpy(pw[n_planes], &lsb, sizeof lsb);
+}
+
+/** Words of [begin_word, end_word) the tile kernels fold: the full
+ *  ones (the stream's partial tail word, if the range reaches it,
+ *  stays with the scalar caller, so no tail masking is needed). */
+size_t
+fullTileWords(const WeightBlockView &block, size_t begin_word,
+              size_t end_word)
+{
+    const size_t full_end = std::min(end_word, block.length / 64);
+    return full_end > begin_word ? full_end - begin_word : 0;
+}
+
+/**
+ * The run loop of the tile kernels, word outer and block inner (the
+ * policy's images' word rows stay in L1 while every block of the run
+ * folds against them): folds the full words of [begin_word, end_word)
+ * of the V::kImages tiles and hands each (image k, range-local word q,
+ * run lane r) column to emit(k, q, r, col, n_planes), plane p at
+ * col[p * V::kLanes] and the parity word at col[n_planes * V::kLanes].
+ * Only each block's real lanes are emitted.
+ *
+ * @return the number of words folded.
+ */
+template <class V, class Emit>
+inline size_t
+foldTileRun(const uint64_t *const *tiles, const WeightBlockView *blocks,
+            size_t n_blocks, size_t parity_lines, size_t begin_word,
+            size_t end_word, const Emit &emit)
+{
+    const size_t n_words = fullTileWords(blocks[0], begin_word, end_word);
+    const size_t taps = blocks[0].taps;
+    const size_t n_planes = planeCapForTaps(taps);
+    SCDCNN_ASSERT(n_planes <= kMaxCarrySavePlanes, "too many input streams");
+    for (size_t q = 0; q < n_words; ++q) {
+        const uint64_t *rows[V::kImages];
+        for (size_t k = 0; k < V::kImages; ++k)
+            rows[k] = tiles[k] + q * taps;
+        for (size_t b = 0; b < n_blocks; ++b) {
+            const uint64_t *wrow = blocks[b].at(begin_word + q, 0);
+            alignas(64) uint64_t pw[kMaxCarrySavePlanes + 1][V::kLanes];
+            foldApc<V>(
+                [&rows, wrow](size_t i, typename V::Vec &line) {
+                    V::tileLine(line, rows, wrow, i);
+                },
+                taps, n_planes, parity_lines, true, pw);
+            for (size_t k = 0; k < V::kImages; ++k)
+                for (size_t f = 0; f < blocks[b].lanes; ++f)
+                    emit(k, q, b * kFilterLanes + f,
+                         &pw[0][k * kFilterLanes + f], n_planes);
+        }
+    }
+    return n_words;
+}
+
+/** Counts emitter of the tile kernels: each column transposed into 64
+ *  per-cycle counts at outs[k][r * lane_stride + q * 64]. */
+template <class V>
+inline size_t
+productCountsTiles(const uint64_t *const *tiles,
+                   const WeightBlockView *blocks, size_t n_blocks,
+                   size_t parity_lines, size_t begin_word, size_t end_word,
+                   uint16_t *const *outs, size_t lane_stride)
+{
+    return foldTileRun<V>(
+        tiles, blocks, n_blocks, parity_lines, begin_word, end_word,
+        [&](size_t k, size_t q, size_t r, const uint64_t *col,
+            size_t n_planes) {
+            spreadWord(col, V::kLanes, n_planes, parity_lines > 0,
+                       outs[k] + r * lane_stride + q * 64);
+        });
+}
+
+/** Planes emitter of the tile kernels: each column's planes, zeroed up
+ *  to @p plane_cap, and its parity word at outs[k][r * lane_stride +
+ *  q * (plane_cap + 1)]. */
+template <class V>
+inline size_t
+productPlanesTiles(const uint64_t *const *tiles,
+                   const WeightBlockView *blocks, size_t n_blocks,
+                   size_t parity_lines, size_t begin_word, size_t end_word,
+                   size_t plane_cap, uint64_t *const *outs,
+                   size_t lane_stride)
+{
+    SCDCNN_ASSERT(planeCapForTaps(blocks[0].taps) <= plane_cap,
+                  "fold needs %zu planes, cap %zu",
+                  planeCapForTaps(blocks[0].taps), plane_cap);
+    return foldTileRun<V>(
+        tiles, blocks, n_blocks, parity_lines, begin_word, end_word,
+        [&](size_t k, size_t q, size_t r, const uint64_t *col,
+            size_t n_planes) {
+            uint64_t *dst =
+                outs[k] + r * lane_stride + q * (plane_cap + 1);
+            size_t p = 0;
+            for (; p < n_planes; ++p)
+                dst[p] = col[p * V::kLanes];
+            for (; p < plane_cap; ++p)
+                dst[p] = 0;
+            dst[plane_cap] = col[n_planes * V::kLanes];
+        });
 }
 
 } // namespace
 
-__attribute__((target("avx2"))) size_t
+__attribute__((target("avx2"), flatten)) size_t
 avx2ProductCountBlocks(const BitstreamView *xs, const BitstreamView *ws,
                        size_t n, size_t length, size_t parity_lines,
                        uint16_t *out)
@@ -414,8 +594,8 @@ avx2ProductCountBlocks(const BitstreamView *xs, const BitstreamView *ws,
     SCDCNN_ASSERT(n_planes <= kMaxCarrySavePlanes, "too many input streams");
     for (size_t w = 0; w < n_full_words; w += 4) {
         alignas(32) uint64_t pw[kMaxCarrySavePlanes + 1][4];
-        foldApc(StreamLines{xs, ws, w}, n, n_planes, parity_lines,
-                ws != nullptr, pw);
+        foldApc<Avx2Fold>(StreamLines{xs, ws, w}, n, n_planes,
+                          parity_lines, ws != nullptr, pw);
         for (size_t lane = 0; lane < 4; ++lane)
             spreadWord(&pw[0][lane], 4, n_planes, parity_lines > 0,
                        out + (w + lane) * 64);
@@ -423,18 +603,7 @@ avx2ProductCountBlocks(const BitstreamView *xs, const BitstreamView *ws,
     return n_full_words;
 }
 
-/** Words of [begin_word, end_word) the tile kernels fold: the full
- *  ones (the stream's partial tail word, if the range reaches it,
- *  stays with the scalar caller, so no tail masking is needed). */
-static size_t
-fullTileWords(const WeightBlockView &block, size_t begin_word,
-              size_t end_word)
-{
-    const size_t full_end = std::min(end_word, block.length / 64);
-    return full_end > begin_word ? full_end - begin_word : 0;
-}
-
-__attribute__((target("avx2"))) size_t
+__attribute__((target("avx2"), flatten)) size_t
 avx2ProductCountsTile(const uint64_t *tile, const WeightBlockView *blocks,
                       size_t n_blocks, size_t parity_lines,
                       size_t begin_word, size_t end_word, uint16_t *out,
@@ -442,28 +611,12 @@ avx2ProductCountsTile(const uint64_t *tile, const WeightBlockView *blocks,
 {
     if (!enabled())
         return 0;
-    const size_t n_words = fullTileWords(blocks[0], begin_word, end_word);
-    const size_t taps = blocks[0].taps;
-    const size_t n_planes = planeCapForTaps(taps);
-    SCDCNN_ASSERT(n_planes <= kMaxCarrySavePlanes, "too many input streams");
-    // Word outer, block inner: the tile's word row stays in L1 while
-    // every block of the run folds against it.
-    for (size_t q = 0; q < n_words; ++q) {
-        const uint64_t *row = tile + q * taps;
-        for (size_t b = 0; b < n_blocks; ++b) {
-            alignas(32) uint64_t pw[kMaxCarrySavePlanes + 1][4];
-            foldApc(TileLines{row, blocks[b].at(begin_word + q, 0)}, taps,
-                    n_planes, parity_lines, true, pw);
-            uint16_t *dst = out + b * kFilterLanes * lane_stride + q * 64;
-            for (size_t f = 0; f < blocks[b].lanes; ++f)
-                spreadWord(&pw[0][f], kFilterLanes, n_planes,
-                           parity_lines > 0, dst + f * lane_stride);
-        }
-    }
-    return n_words;
+    return productCountsTiles<Avx2Fold>(&tile, blocks, n_blocks,
+                                        parity_lines, begin_word, end_word,
+                                        &out, lane_stride);
 }
 
-__attribute__((target("avx2"))) size_t
+__attribute__((target("avx2"), flatten)) size_t
 avx2ProductPlanesTile(const uint64_t *tile, const WeightBlockView *blocks,
                       size_t n_blocks, size_t parity_lines,
                       size_t begin_word, size_t end_word, size_t plane_cap,
@@ -471,34 +624,38 @@ avx2ProductPlanesTile(const uint64_t *tile, const WeightBlockView *blocks,
 {
     if (!enabled())
         return 0;
-    const size_t n_words = fullTileWords(blocks[0], begin_word, end_word);
-    const size_t taps = blocks[0].taps;
-    const size_t n_planes = planeCapForTaps(taps);
-    SCDCNN_ASSERT(n_planes <= kMaxCarrySavePlanes, "too many input streams");
-    SCDCNN_ASSERT(n_planes <= plane_cap, "fold needs %zu planes, cap %zu",
-                  n_planes, plane_cap);
-    // The order of avx2ProductCountsTile; the transpose is replaced by
-    // plane stores.
-    for (size_t q = 0; q < n_words; ++q) {
-        const uint64_t *row = tile + q * taps;
-        for (size_t b = 0; b < n_blocks; ++b) {
-            alignas(32) uint64_t pw[kMaxCarrySavePlanes + 1][4];
-            foldApc(TileLines{row, blocks[b].at(begin_word + q, 0)}, taps,
-                    n_planes, parity_lines, true, pw);
-            uint64_t *word_out =
-                out + b * kFilterLanes * lane_stride + q * (plane_cap + 1);
-            for (size_t f = 0; f < blocks[b].lanes; ++f) {
-                uint64_t *dst = word_out + f * lane_stride;
-                size_t p = 0;
-                for (; p < n_planes; ++p)
-                    dst[p] = pw[p][f];
-                for (; p < plane_cap; ++p)
-                    dst[p] = 0;
-                dst[plane_cap] = pw[n_planes][f];
-            }
-        }
-    }
-    return n_words;
+    return productPlanesTiles<Avx2Fold>(&tile, blocks, n_blocks,
+                                        parity_lines, begin_word, end_word,
+                                        plane_cap, &out, lane_stride);
+}
+
+__attribute__((target("avx512f"), flatten)) size_t
+avx512ProductCountsTilePair(const uint64_t *const tiles[2],
+                            const WeightBlockView *blocks, size_t n_blocks,
+                            size_t parity_lines, size_t begin_word,
+                            size_t end_word, uint16_t *const outs[2],
+                            size_t lane_stride)
+{
+    if (!avx512Enabled())
+        return 0;
+    return productCountsTiles<Avx512Fold>(tiles, blocks, n_blocks,
+                                          parity_lines, begin_word,
+                                          end_word, outs, lane_stride);
+}
+
+__attribute__((target("avx512f"), flatten)) size_t
+avx512ProductPlanesTilePair(const uint64_t *const tiles[2],
+                            const WeightBlockView *blocks, size_t n_blocks,
+                            size_t parity_lines, size_t begin_word,
+                            size_t end_word, size_t plane_cap,
+                            uint64_t *const outs[2], size_t lane_stride)
+{
+    if (!avx512Enabled())
+        return 0;
+    return productPlanesTiles<Avx512Fold>(tiles, blocks, n_blocks,
+                                          parity_lines, begin_word,
+                                          end_word, plane_cap, outs,
+                                          lane_stride);
 }
 
 void
@@ -868,6 +1025,22 @@ avx2ProductCountsTile(const uint64_t *, const WeightBlockView *, size_t,
 size_t
 avx2ProductPlanesTile(const uint64_t *, const WeightBlockView *, size_t,
                       size_t, size_t, size_t, size_t, uint64_t *, size_t)
+{
+    return 0;
+}
+
+size_t
+avx512ProductCountsTilePair(const uint64_t *const[2],
+                            const WeightBlockView *, size_t, size_t, size_t,
+                            size_t, uint16_t *const[2], size_t)
+{
+    return 0;
+}
+
+size_t
+avx512ProductPlanesTilePair(const uint64_t *const[2],
+                            const WeightBlockView *, size_t, size_t, size_t,
+                            size_t, size_t, uint64_t *const[2], size_t)
 {
     return 0;
 }

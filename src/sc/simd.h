@@ -4,28 +4,38 @@
  *
  * The portable scalar implementations in sc/fused.cc and
  * blocks/pooling.cc are the always-built default and the correctness
- * oracle; the AVX2 variants here are selected at runtime when the host
- * CPU supports them and must be bit-exact with the scalar paths (the
+ * oracle; the AVX2 and AVX-512 variants here are selected at runtime
+ * when the host CPU supports them and must be bit-exact with the
+ * scalar paths (the
  * dispatch rule DESIGN.md documents, enforced by tests/test_simd.cc).
  *
  * Kernels:
- *  - avx2ProductCountBlocks, avx2Product{Counts,Planes}Tile: thin
- *    emitters around one APC fold (simd.cc) that counts mismatch lines
- *    x ^ w through a Harley-Seal carry-save chain — 91 vector ops + 2
- *    per high plane per 16 lines — and converts to match counts
- *    c = n - m once per fold; the emitters transpose the planes to
- *    uint16 counts or store them as planes. The *Tile kernels read
- *    one image's gathered [word][tap] operand tile (sc/fused.h) and
- *    fold each of its word rows against a whole run of filter blocks;
+ *  - avx2ProductCountBlocks, avx2Product{Counts,Planes}Tile and
+ *    avx512Product{Counts,Planes}TilePair: thin emitters around one
+ *    APC fold (simd.cc), templated on a vector policy, that counts
+ *    mismatch lines x ^ w through a Harley-Seal carry-save chain and
+ *    converts to match counts c = n - m once per fold; the emitters
+ *    transpose the planes to uint16 counts or store them as planes.
+ *    The *Tile kernels read one image's gathered [word][tap] operand
+ *    tile (sc/fused.h) and fold each of its word rows against a whole
+ *    run of filter blocks in a ymm (four filter lanes, and/or/xor
+ *    carry-save adders: 91 vector ops + 2 per high plane per 16
+ *    lines). The *TilePair kernels fold two images' tiles at once in a
+ *    zmm (image A's four lanes low, image B's high, the weight row
+ *    loaded once for both; carry-save adders are two vpternlogq);
  *  - avx2ProductCountTotal: the popcount reductions of
  *    fusedProductCountTotal (nibble-LUT shuffle + psadbw);
  *  - avx2SumU16: the segment accumulation of the masked binary
  *    max-pooling kernel.
  *
- * Dispatch: enabled() is true when the binary carries the AVX2 paths,
- * the CPU reports AVX2, and neither SCDCNN_FORCE_SCALAR nor
- * setEnabled(false) turned them off. Callers branch on enabled() and
- * fall back to the scalar path for tails and small sizes.
+ * Dispatch is by tier: enabled() is true when the binary carries the
+ * SIMD paths, the CPU reports AVX2, and neither SCDCNN_FORCE_SCALAR
+ * nor setEnabled(false) turned them off; avx512Enabled() additionally
+ * needs AVX-512F. Callers branch on the tier and fall back to the
+ * scalar path for tails and small sizes; the batch kernels fold image
+ * pairs on the AVX-512 tier and a lone image (an odd count's last, or
+ * a one-image call) on AVX2. Every tier is bit-exact with the scalar
+ * path.
  */
 
 #ifndef SCDCNN_SC_SIMD_H
@@ -48,8 +58,13 @@ bool available();
  *  turned off with setEnabled(false). */
 bool enabled();
 
-/** Test hook: select (true) or bypass (false) the AVX2 paths at
- *  runtime. Enabling when !available() is a no-op. */
+/** Whether the AVX-512 pair kernels are currently selected: enabled()
+ *  and the CPU reports AVX-512F. */
+bool avx512Enabled();
+
+/** Test hook: select (true) every SIMD tier the CPU supports, or
+ *  bypass (false) all of them, at runtime. Enabling when !available()
+ *  is a no-op. */
 void setEnabled(bool on);
 
 /**
@@ -114,6 +129,42 @@ size_t avx2ProductPlanesTile(const uint64_t *tile,
                              size_t parity_lines, size_t begin_word,
                              size_t end_word, size_t plane_cap,
                              uint64_t *out, size_t lane_stride);
+
+/**
+ * Image-pair variant of avx2ProductCountsTile: folds the tiles of two
+ * images, tiles[0] (image A) and tiles[1] (image B), against each
+ * weight row in one 512-bit fold, A's kFilterLanes lanes in the low
+ * 256 bits and B's in the high 256, so each weight row is loaded once
+ * per pair and every vector op covers both images. Image k's counts
+ * land at outs[k] in avx2ProductCountsTile's layout, bit-exact with
+ * two avx2ProductCountsTile calls.
+ *
+ * @return the number of words processed from begin_word (the scalar
+ *         caller continues from there for both images); 0 when the
+ *         AVX-512 tier is not enabled.
+ */
+size_t avx512ProductCountsTilePair(const uint64_t *const tiles[2],
+                                   const WeightBlockView *blocks,
+                                   size_t n_blocks, size_t parity_lines,
+                                   size_t begin_word, size_t end_word,
+                                   uint16_t *const outs[2],
+                                   size_t lane_stride);
+
+/**
+ * Image-pair variant of avx2ProductPlanesTile (see
+ * avx512ProductCountsTilePair): image k's planes land at outs[k] in
+ * avx2ProductPlanesTile's layout.
+ *
+ * @return the number of words processed from begin_word; 0 when the
+ *         AVX-512 tier is not enabled.
+ */
+size_t avx512ProductPlanesTilePair(const uint64_t *const tiles[2],
+                                   const WeightBlockView *blocks,
+                                   size_t n_blocks, size_t parity_lines,
+                                   size_t begin_word, size_t end_word,
+                                   size_t plane_cap,
+                                   uint64_t *const outs[2],
+                                   size_t lane_stride);
 
 /**
  * Transpose one word's canonical count planes back into 64 per-cycle

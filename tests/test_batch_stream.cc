@@ -155,14 +155,16 @@ checkRun(const BatchOperands &ops,
 
 TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
 {
-    constexpr size_t kImages = 4;
-    // Tap counts straddling the 16-line Harley-Seal group (plus the
-    // bias line), filter counts producing one full block, a full and a
-    // ragged block, and three blocks ending ragged, and a stream length
-    // with a partial tail word. Every contiguous run of blocks goes
-    // through one call: runs of one, two and all blocks.
-    for (size_t n_taps : {size_t{4}, size_t{17}, size_t{36}}) {
-        for (size_t filters : {size_t{4}, size_t{6}, size_t{10}}) {
+    constexpr size_t kImages = 5;
+    // Tap counts below (odd: 3 and 5 lines, with the bias line) and
+    // straddling the 16-line Harley-Seal group (plus the bias line),
+    // filter counts producing one full block, a full and a ragged block
+    // (2 and 3 lanes), and three blocks ending ragged, and a stream
+    // length with a partial tail word. Every contiguous run of blocks
+    // goes through one call: runs of one, two and all blocks.
+    for (size_t n_taps : {size_t{2}, size_t{4}, size_t{17}, size_t{36}}) {
+        for (size_t filters :
+             {size_t{4}, size_t{6}, size_t{7}, size_t{10}}) {
             const size_t len = 200;
             const size_t n_words = (len + 63) / 64;
             BatchOperands ops(n_taps, kImages, len,
@@ -182,11 +184,21 @@ TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
 
             std::vector<sc::BitstreamView> shifted;
             std::vector<uint64_t> tile;
-            // Non-contiguous active sets exercise the stride-offset
-            // addressing, in and out of image order.
+            // Non-contiguous active sets of 1, 2, 3 and 5 images
+            // exercise the stride-offset addressing, in and out of image
+            // order, the image pairs of the AVX-512 tier and an odd
+            // count's lone last image.
             for (const std::vector<uint32_t> &active :
-                 {std::vector<uint32_t>{1, 3},
-                  std::vector<uint32_t>{2, 0}}) {
+                 {std::vector<uint32_t>{2}, std::vector<uint32_t>{1, 3},
+                  std::vector<uint32_t>{2, 0},
+                  std::vector<uint32_t>{3, 0, 2},
+                  std::vector<uint32_t>{4, 1, 3, 0, 2}}) {
+                std::string images;
+                for (uint32_t a : active) {
+                    if (!images.empty())
+                        images += ',';
+                    images += std::to_string(a);
+                }
                 for (size_t g0 = 0; g0 < blocks.size(); ++g0) {
                     for (size_t g1 = g0 + 1; g1 <= blocks.size(); ++g1) {
                         const std::span<const sc::WeightBlockView> run(
@@ -195,9 +207,7 @@ TEST_F(BatchKernel, ProductCountsMatchPerImageAndReference)
                             "taps=" + std::to_string(n_taps) +
                             " filters=" + std::to_string(filters) +
                             " run=[" + std::to_string(g0) + "," +
-                            std::to_string(g1) + ") active=" +
-                            std::to_string(active[0]) + "," +
-                            std::to_string(active[1]);
+                            std::to_string(g1) + ") active=" + images;
                         checkRun(ops, run, active, n_words, plane_cap,
                                  tile, shifted, what);
                     }

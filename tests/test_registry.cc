@@ -174,8 +174,9 @@ TEST(Artifact, EveryBitFlipIsRejectedWithADiagnostic)
         std::FILE *w = std::fopen(path.c_str(), "wb");
         ASSERT_NE(w, nullptr);
         // fwrite's buffer must not be null, even for zero bytes.
-        if (!b.empty())
+        if (!b.empty()) {
             ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), w), b.size());
+        }
         std::fclose(w);
     };
 
