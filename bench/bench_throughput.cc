@@ -8,7 +8,11 @@
  * same pool as the one-thread batch point they are compared with; that
  * batch point runs armed too and gets its own per-(stage, phase)
  * table. Every batch point runs one unmeasured warm-up call, then at
- * least three timed reps (mean, median and interquartile range). The
+ * least three timed reps (mean, median and interquartile range); the
+ * single-image SC timings (fused, progressive and the scenario
+ * topologies) follow a warm-up call too and are timed rep by rep with
+ * the same statistics, and every batch/single ratio is median over
+ * median. The
  * engine build (ScNetwork construction: weight quantization plus one
  * SNG stream per weight) is timed as the median of three builds.
  * Results are printed as a table and written as
@@ -280,6 +284,17 @@ main()
             *info = infos[0];
     };
     const core::PredictOptions fused_opts; // EngineMode::Fused
+    // Single-image reps are timed one by one (one sample per call),
+    // like the batch points, so they carry a median and IQR.
+    const auto time_reps = [](size_t reps, const auto &call) {
+        std::vector<double> samples;
+        for (size_t r = 0; r < reps; ++r) {
+            const auto start = std::chrono::steady_clock::now();
+            call(r);
+            samples.push_back(msSince(start));
+        }
+        return spreadOf(samples);
+    };
 
     // The per-phase breakdown comes from the tracing aggregate, and the
     // per-(stage, phase) table from the rings, both armed around the
@@ -289,10 +304,10 @@ main()
     rec.resetProfile();
     rec.clear();
     rec.arm();
-    auto t0 = std::chrono::steady_clock::now();
-    for (size_t r = 0; r < fused_reps; ++r)
+    const Spread fused_sp = time_reps(fused_reps, [&](size_t r) {
         single(sc_net, img, 2 + r, fused_opts);
-    const double fused_ms = msSince(t0) / static_cast<double>(fused_reps);
+    });
+    const double fused_ms = fused_sp.mean;
     rec.disarm();
     const PhaseMs fused_phases = phaseMs(rec, fused_reps);
     const std::vector<StagePhaseMs> stage_phases =
@@ -300,7 +315,7 @@ main()
 
     core::PredictOptions ref_opts;
     ref_opts.mode = core::EngineMode::Reference;
-    t0 = std::chrono::steady_clock::now();
+    auto t0 = std::chrono::steady_clock::now();
     for (size_t r = 0; r < ref_reps; ++r)
         sc_net.predictWith(img, 2 + r, ref_opts);
     const double ref_ms = msSince(t0) / static_cast<double>(ref_reps);
@@ -324,13 +339,12 @@ main()
     core::ForwardInfo prog_info;
     uint64_t prog_bits = 0;
     size_t prog_exits = 0;
-    t0 = std::chrono::steady_clock::now();
-    for (size_t r = 0; r < fused_reps; ++r) {
+    const Spread prog_sp = time_reps(fused_reps, [&](size_t r) {
         single(prog_net, img, 2 + r, prog_opts, &prog_info);
         prog_bits += prog_info.effective_bits;
         prog_exits += prog_info.early_exit ? 1 : 0;
-    }
-    const double prog_ms = msSince(t0) / static_cast<double>(fused_reps);
+    });
+    const double prog_ms = prog_sp.mean;
     const double prog_avg_bits =
         static_cast<double>(prog_bits) / static_cast<double>(fused_reps);
 
@@ -389,7 +403,9 @@ main()
                 cfg.describe().c_str(), build_ms, kBuilds);
     std::printf("single image (%s):\n", cfg.describe().c_str());
     std::printf("  %-28s %10.1f ms\n", "bit-serial reference", ref_ms);
-    std::printf("  %-28s %10.1f ms\n", "fused word-parallel", fused_ms);
+    std::printf("  %-28s %10.1f ms (median %.1f ms, IQR %.1f ms)\n",
+                "fused word-parallel", fused_ms, fused_sp.median,
+                fused_sp.iqr);
     std::printf("  %-28s %10.1fx\n", "speedup", speedup);
     std::printf("  %-28s %10.0f ns\n", "fused ns per FEB", ns_per_feb);
     std::printf("  fused per-phase breakdown (ms, summed over "
@@ -410,8 +426,10 @@ main()
     std::printf("\n");
     std::printf("  progressive (margin %.2f, min %zu bits):\n",
                 cfg.progressive_margin, cfg.progressive_min_bits);
-    std::printf("    %-26s %10.1f ms (%.2fx vs fused)\n", "latency",
-                prog_ms, fused_ms / prog_ms);
+    std::printf("    %-26s %10.1f ms (%.2fx vs fused; median %.1f ms, "
+                "IQR %.1f ms)\n",
+                "latency", prog_ms, fused_ms / prog_ms, prog_sp.median,
+                prog_sp.iqr);
     std::printf("    %-26s %10.0f of %zu\n", "avg effective bits",
                 prog_avg_bits, len);
     std::printf("    %-26s %9zu/%zu\n\n", "early exits", prog_exits,
@@ -493,17 +511,14 @@ main()
             rec.clear();
             rec.arm();
         }
-        std::vector<double> samples;
-        for (size_t r = 0; r < batch_reps; ++r) {
-            const auto start = std::chrono::steady_clock::now();
+        const Spread sp = time_reps(batch_reps, [&](size_t) {
             std::vector<size_t> p = engine.forwardBatch(images, 42, &pool);
-            samples.push_back(msSince(start));
             if (preds != nullptr)
                 *preds = std::move(p);
-        }
+        });
         if (arm)
             rec.disarm();
-        return spreadOf(samples);
+        return sp;
     };
 
     std::printf("forwardBatch of %zu images (%zu timed reps after a "
@@ -539,11 +554,13 @@ main()
 
     // Batch-vs-single throughput ratio of the batch path (both sides
     // on pool1, so the ratio isolates the kernel-level win from thread
-    // scaling).
-    const double single_ips = 1000.0 / fused_ms;
+    // scaling; median over median, so one slow rep moves neither).
     const double batch_ratio =
-        points.empty() ? 0.0 : points[0].images_per_sec / single_ips;
-    std::printf("  %-28s %10.2fx (batch ips / single ips, 1 thread)\n",
+        points.empty() ? 0.0
+                       : static_cast<double>(batch_images) *
+                             fused_sp.median / points[0].ms.median;
+    std::printf("  %-28s %10.2fx (batch ips / single ips, 1 thread, "
+                "medians)\n",
                 "batch speedup", batch_ratio);
     std::printf("  1-thread per-(stage, phase) breakdown (ms per image, "
                 "armed):\n");
@@ -559,7 +576,7 @@ main()
     struct TopoPoint
     {
         const char *name;
-        double fused_ms;
+        Spread fused_ms;
         Spread batch_ms;
         double batch_ips;
         double batch_ratio; //!< batch ips / single-image ips, 1 thread
@@ -583,15 +600,15 @@ main()
         for (Scenario &s : scenarios) {
             core::ScNetwork topo_net(s.net, cfg);
             single(topo_net, img, 1, fused_opts); // warm-up
-            t0 = std::chrono::steady_clock::now();
-            for (size_t r = 0; r < fused_reps; ++r)
+            const Spread sms = time_reps(fused_reps, [&](size_t r) {
                 single(topo_net, img, 2 + r, fused_opts);
-            const double ms =
-                msSince(t0) / static_cast<double>(fused_reps);
+            });
+            const double ms = sms.mean;
             const Spread bms = time_batch(topo_net, pool1, false, nullptr);
             const double bips =
                 static_cast<double>(batch_images) / (bms.mean / 1000.0);
-            const double ratio = bips / (1000.0 / ms);
+            const double ratio = static_cast<double>(batch_images) *
+                                 sms.median / bms.median;
             topo_net.predictWith(img, 1, binary_opts); // warm-up
             t0 = std::chrono::steady_clock::now();
             for (size_t r = 0; r < binary_reps; ++r)
@@ -600,11 +617,13 @@ main()
                 msSince(t0) / static_cast<double>(binary_reps);
             const double bin_ratio = ms / bin_ms;
             topo_points.push_back(
-                {s.name, ms, bms, bips, ratio, bin_ms, bin_ratio});
-            std::printf("  %-10s %10.1f ms single, %10.1f ms batch "
-                        "(%6.2f images/sec, %4.2fx), %8.3f ms binary "
+                {s.name, sms, bms, bips, ratio, bin_ms, bin_ratio});
+            std::printf("  %-10s %10.1f ms single (median %.1f, IQR "
+                        "%.1f), %10.1f ms batch (median %.1f, IQR %.1f; "
+                        "%6.2f images/sec, %4.2fx), %8.3f ms binary "
                         "(%5.1fx)\n",
-                        s.name, ms, bms.mean, bips, ratio, bin_ms,
+                        s.name, ms, sms.median, sms.iqr, bms.mean,
+                        bms.median, bms.iqr, bips, ratio, bin_ms,
                         bin_ratio);
         }
     }
@@ -653,6 +672,8 @@ main()
     std::fprintf(f, "  \"single_image\": {\n");
     std::fprintf(f, "    \"reference_ms\": %.3f,\n", ref_ms);
     std::fprintf(f, "    \"fused_ms\": %.3f,\n", fused_ms);
+    std::fprintf(f, "    \"fused_ms_median\": %.3f,\n", fused_sp.median);
+    std::fprintf(f, "    \"fused_ms_iqr\": %.3f,\n", fused_sp.iqr);
     std::fprintf(f, "    \"speedup\": %.2f,\n", speedup);
     std::fprintf(f, "    \"fused_ns_per_feb\": %.1f,\n", ns_per_feb);
     std::fprintf(f, "    \"phases_ms\": {\n");
@@ -670,6 +691,8 @@ main()
     std::fprintf(f, "      \"min_bits\": %zu,\n",
                  cfg.progressive_min_bits);
     std::fprintf(f, "      \"ms\": %.3f,\n", prog_ms);
+    std::fprintf(f, "      \"ms_median\": %.3f,\n", prog_sp.median);
+    std::fprintf(f, "      \"ms_iqr\": %.3f,\n", prog_sp.iqr);
     std::fprintf(f, "      \"speedup_vs_fused\": %.2f,\n",
                  fused_ms / prog_ms);
     std::fprintf(f, "      \"effective_bits\": %.1f,\n", prog_avg_bits);
@@ -723,6 +746,8 @@ main()
         const TopoPoint &p = topo_points[i];
         std::fprintf(f,
                      "    \"%s\": {\"fused_ms\": %.3f, "
+                     "\"fused_ms_median\": %.3f, "
+                     "\"fused_ms_iqr\": %.3f, "
                      "\"images_per_sec\": %.2f, "
                      "\"batch_ms_total\": %.3f, "
                      "\"batch_ms_median\": %.3f, "
@@ -732,7 +757,8 @@ main()
                      "\"binary_ms\": %.4f, "
                      "\"binary_images_per_sec\": %.2f, "
                      "\"binary_ips_per_fused_ips\": %.2f}%s\n",
-                     p.name, p.fused_ms, 1000.0 / p.fused_ms,
+                     p.name, p.fused_ms.mean, p.fused_ms.median,
+                     p.fused_ms.iqr, 1000.0 / p.fused_ms.mean,
                      p.batch_ms.mean, p.batch_ms.median, p.batch_ms.iqr,
                      p.batch_ips, p.batch_ratio, p.binary_ms,
                      1000.0 / p.binary_ms, p.binary_ratio,

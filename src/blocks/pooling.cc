@@ -45,44 +45,13 @@ maxPoolStreamsFused(const std::vector<sc::BitstreamView> &inputs,
     checkMaxPoolStreams(inputs, segment_len, first_choice);
     const size_t len = inputs[0].length;
     out.reset(len);
-    auto &words = out.mutableWords();
-    std::vector<size_t> counters(inputs.size(), 0);
-    size_t selected = first_choice;
-    for (size_t seg_begin = 0; seg_begin < len; seg_begin += segment_len) {
-        const size_t seg_end = std::min(len, seg_begin + segment_len);
-        // Forward the selected input's segment by word copy with
-        // boundary masks (the segment rarely starts or ends on a word
-        // boundary).
-        const uint64_t *src = inputs[selected].words;
-        const size_t w0 = seg_begin / 64;
-        const size_t w1 = (seg_end - 1) / 64;
-        for (size_t w = w0; w <= w1; ++w) {
-            uint64_t mask = ~uint64_t{0};
-            if (w == w0)
-                mask &= ~uint64_t{0} << (seg_begin % 64);
-            if (w == w1) {
-                const size_t t = ((seg_end - 1) % 64) + 1;
-                if (t < 64)
-                    mask &= (uint64_t{1} << t) - 1;
-            }
-            words[w] |= src[w] & mask;
-        }
-        // Masked word popcounts replace the per-bit counters; the
-        // winner drives the next segment (ties keep the earliest
-        // index, as a priority comparator would).
-        size_t best = 0;
-        size_t best_count = 0;
-        for (size_t k = 0; k < inputs.size(); ++k) {
-            counters[k] += sc::countOnes(inputs[k], seg_begin, seg_end);
-            if (counters[k] > best_count) {
-                best_count = counters[k];
-                best = k;
-            }
-            if (!accumulate)
-                counters[k] = 0;
-        }
-        selected = best;
-    }
+    std::vector<const uint64_t *> words(inputs.size());
+    for (size_t k = 0; k < inputs.size(); ++k)
+        words[k] = inputs[k].words;
+    MaxPoolCarryState state;
+    state.reset(inputs.size(), first_choice);
+    maxPoolStreamsRange(words.data(), inputs.size(), 0, len, segment_len,
+                        accumulate, state, out.mutableWords().data());
 }
 
 sc::Bitstream

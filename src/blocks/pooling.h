@@ -29,10 +29,10 @@ sc::Bitstream averagePooling(const std::vector<sc::Bitstream> &inputs,
                              sc::Xoshiro256ss &sel);
 
 /**
- * Word-parallel Figure 8 selector over packed stream views: segment
- * counts via masked word popcounts, forwarding via word copies with
- * boundary masks. Supports both counter readings (see
- * HardwareMaxPooling::compute for @p accumulate). Bit-exact with
+ * Word-parallel Figure 8 selector over whole packed stream views:
+ * maxPoolStreamsRange over every cycle from a fresh carried state
+ * that selects @p first_choice first. Supports both counter readings
+ * (see HardwareMaxPooling::compute for @p accumulate). Bit-exact with
  * maxPoolStreamsReference — the twin contract of DESIGN.md.
  */
 void maxPoolStreamsFused(const std::vector<sc::BitstreamView> &inputs,
@@ -72,8 +72,10 @@ struct MaxPoolCarryState
 };
 
 /**
- * Range-streamed maxPoolStreamsFused: processes absolute cycles
- * [@p abs_begin, @p abs_begin + @p n_cycles) of the pooled stream.
+ * Range-streamed Figure 8 selector: processes absolute cycles
+ * [@p abs_begin, @p abs_begin + @p n_cycles) of the pooled stream,
+ * segment counts via masked word popcounts, forwarding via word
+ * copies with boundary masks.
  * @p inputs are segment-local packed words (bit i of inputs[k] is
  * input k's bit at absolute cycle abs_begin + i; abs_begin must be
  * word-aligned), @p out likewise. Output words are fully rewritten.

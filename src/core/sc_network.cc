@@ -273,71 +273,43 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
     // Hidden stages store their streams in the filter-interleaved
     // layout the filter-blocked kernels stream through; the output
     // layer's popcount-total kernel reads whole streams, so it keeps
-    // the plain one. Streams are drawn filter by filter, taps in
-    // (c_in, ky, kx) order, bias last.
-    auto encode_conv = [&](const nn::ConvLayer &conv, double in_gain,
-                           ConvWeightStreams &out) {
-        out.c_in = conv.cIn();
-        out.c_out = conv.cOut();
-        out.k = conv.kernel();
-        out.n_per_filter = out.c_in * out.k * out.k + 1;
-        out.blocked.reset(out.c_out, out.n_per_filter, len);
-        for (size_t co = 0; co < out.c_out; ++co) {
-            size_t tap = 0;
-            for (size_t ci = 0; ci < out.c_in; ++ci)
-                for (size_t ky = 0; ky < out.k; ++ky)
-                    for (size_t kx = 0; kx < out.k; ++kx)
-                        out.blocked.assign(
-                            co, tap++,
-                            bank.bipolar(
-                                conv.weightAt(co, ci, ky, kx) / in_gain,
-                                len));
-            out.blocked.assign(co, tap, bank.bipolar(conv.biasAt(co), len));
-        }
-    };
-    auto encode_fc = [&](const nn::FullyConnected &fc, double in_gain,
-                         auto &&store) {
-        for (size_t o = 0; o < fc.nOut(); ++o) {
-            for (size_t i = 0; i < fc.nIn(); ++i)
-                store(o, i, bank.bipolar(fc.weightAt(o, i) / in_gain, len));
-            store(o, fc.nIn(), bank.bipolar(fc.biasAt(o), len));
+    // the plain one. Every layer keeps its weights filter-major with
+    // the taps in (c_in, ky, kx) order (an fc layer's input order is
+    // the flattened grid of the same order), and its streams are drawn
+    // filter by filter, taps in that order, bias last.
+    auto encode = [&](nn::Layer &layer, size_t fan_in, double in_gain,
+                      auto &&store) {
+        const std::vector<float> &w = *layer.weights();
+        const std::vector<float> &bias = *layer.biases();
+        for (size_t o = 0; o < bias.size(); ++o) {
+            for (size_t t = 0; t < fan_in; ++t)
+                store(o, t,
+                      bank.bipolar(w[o * fan_in + t] / in_gain, len));
+            store(o, fan_in, bank.bipolar(bias[o], len));
         }
     };
 
-    // Encode the hidden stages in plan order (convs precede fcs by
-    // the grammar), each consuming the previous stage's realized
-    // gain, then the binary output layer.
+    // Encode the hidden stages in plan order, each consuming the
+    // previous stage's realized gain, then the binary output layer.
     double in_gain = 1.0;
+    weights_.resize(n_stages);
     for (size_t l = 0; l < n_stages; ++l) {
         const nn::PlanStage &st = plan_.stages[l];
-        if (st.kind == nn::StageOutline::Kind::Conv) {
-            convs_.emplace_back();
-            encode_conv(dynamic_cast<const nn::ConvLayer &>(
-                            net.layer(st.layer_index)),
-                        in_gain, convs_.back());
-        } else {
-            const auto &fc = dynamic_cast<const nn::FullyConnected &>(
-                net.layer(st.layer_index));
-            FcWeightStreams &w = fcs_.emplace_back();
-            w.n_in = fc.nIn();
-            w.n_out = fc.nOut();
-            w.blocked.reset(w.n_out, w.n_in + 1, len);
-            encode_fc(fc, in_gain,
-                      [&](size_t o, size_t i, const sc::Bitstream &s) {
-                          w.blocked.assign(o, i, s);
-                      });
-        }
+        sc::InterleavedWeightArena &w = weights_[l];
+        w.reset(st.out_c, st.fan_in + 1, len);
+        encode(net.layer(st.layer_index), st.fan_in, in_gain,
+               [&](size_t o, size_t t, const sc::Bitstream &s) {
+                   w.assign(o, t, s);
+               });
         in_gain = layer_gain_[l];
     }
-    const auto &out_fc = dynamic_cast<const nn::FullyConnected &>(
-        net.layer(plan_.output.layer_index));
-    out_.n_in = out_fc.nIn();
-    out_.n_out = out_fc.nOut();
+    out_.n_in = plan_.output.fan_in;
+    out_.n_out = plan_.output.out_c;
     out_.arena.reset(out_.n_out * (out_.n_in + 1), len);
-    encode_fc(out_fc, in_gain,
-              [&](size_t o, size_t i, const sc::Bitstream &s) {
-                  out_.arena.assign(o * (out_.n_in + 1) + i, s);
-              });
+    encode(net.layer(plan_.output.layer_index), out_.n_in, in_gain,
+           [&](size_t o, size_t i, const sc::Bitstream &s) {
+               out_.arena.assign(o * (out_.n_in + 1) + i, s);
+           });
 }
 
 ScNetwork::StreamGrid
@@ -382,26 +354,20 @@ ScNetwork::encodeImages(std::span<const nn::Tensor> images,
 }
 
 void
-ScNetwork::initConvRun(ConvRun &run, const StreamGrid &in,
-                       const ConvWeightStreams &weights, size_t layer_idx,
-                       const std::vector<uint64_t> &seeds) const
+ScNetwork::initStageRun(StageRun &run, size_t layer_idx,
+                        const std::vector<uint64_t> &seeds) const
 {
+    const nn::PlanStage &st = plan_.stages[layer_idx];
     const size_t B = seeds.size();
-    const size_t k = weights.k;
-    const size_t conv_h = in.h - k + 1;
-    const size_t conv_w = in.w - k + 1;
-    SCDCNN_ASSERT(conv_h % 2 == 0 && conv_w % 2 == 0,
-                  "conv output not poolable");
-    run.out.c = weights.c_out;
-    run.out.h = conv_h / 2;
-    run.out.w = conv_w / 2;
-    run.out.arena.reset(run.out.c * run.out.h * run.out.w, B,
-                        cfg_.bitstream_len);
+    const size_t n_pixels = st.flatOut();
+    run.out.c = st.out_c;
+    run.out.h = st.out_h;
+    run.out.w = st.out_w;
+    run.out.arena.reset(n_pixels, B, cfg_.bitstream_len);
 
     const blocks::FebKind kind = stageFebKind(layer_idx);
     const bool use_apc = blocks::febUsesApc(kind);
     const bool use_max = blocks::febUsesMaxPool(kind);
-    const size_t n_pixels = run.out.c * run.out.h * run.out.w;
 
     run.fsm.assign(n_pixels * B,
                    use_apc ? btanh_tables_[layer_idx]->initialState()
@@ -409,28 +375,30 @@ ScNetwork::initConvRun(ConvRun &run, const StreamGrid &in,
     run.pool.clear();
     if (use_max) {
         run.pool.resize(n_pixels * B);
-        for (auto &st : run.pool)
-            st.reset(4, 0);
+        for (auto &ps : run.pool)
+            ps.reset(4, 0);
     }
     // Every generator is derived from its position: MUX selects per
     // (filter block, position, window) site — shared by the block's
     // lanes, the way the blocked MUX kernel samples — at index
-    // ((g * positions + q) * 4 + window) * B + image whatever order the
-    // work items run in, and the average-pooling MUX per pixel, each
-    // seeded from its own image's seed. Any thread partition and any
-    // batch composition reproduce the same streams (and the Reference
-    // oracle seeds its generators the same way).
+    // ((g * positions + q) * windows + window) * B + image whatever
+    // order the work items run in (an fc stage's site is its neuron
+    // block g), and the average-pooling MUX per pixel, each seeded
+    // from its own image's seed. Any thread partition and any batch
+    // composition reproduce the same streams (and the Reference oracle
+    // seeds its generators the same way).
     run.sel_rng.clear();
     run.pool_rng.clear();
     if (!use_apc) {
-        const size_t positions = run.out.h * run.out.w;
-        const size_t n_sites = weights.blocked.groups() * positions * 4;
+        const size_t windows = st.pooled ? 4 : 1;
+        const size_t n_sites = weights_[layer_idx].groups() * st.out_h *
+                               st.out_w * windows;
         run.sel_rng.reserve(n_sites * B);
         for (size_t s = 0; s < n_sites; ++s)
             for (size_t b = 0; b < B; ++b)
                 run.sel_rng.emplace_back(
                     siteSeed(seeds[b] ^ kSelectSalt, layer_idx, s));
-        if (!use_max) {
+        if (st.pooled && !use_max) {
             run.pool_rng.reserve(n_pixels * B);
             for (size_t p = 0; p < n_pixels; ++p)
                 for (size_t b = 0; b < B; ++b)
@@ -441,64 +409,48 @@ ScNetwork::initConvRun(ConvRun &run, const StreamGrid &in,
 }
 
 void
-ScNetwork::initFcRun(FcRun &run, const FcWeightStreams &weights,
-                     size_t layer_idx,
-                     const std::vector<uint64_t> &seeds) const
+ScNetwork::runStageSegment(const StreamGrid &in, size_t layer_idx,
+                           const SegRange &seg,
+                           const std::vector<uint32_t> &active,
+                           StageRun &run, ThreadPool *pool) const
 {
-    const size_t B = seeds.size();
-    run.out.reset(weights.n_out, B, cfg_.bitstream_len);
-    const bool use_apc = blocks::febUsesApc(stageFebKind(layer_idx));
-    run.fsm.assign(weights.n_out * B,
-                   use_apc ? btanh_tables_[layer_idx]->initialState()
-                           : stanh_tables_[layer_idx]->initialState());
-    run.sel_rng.clear();
-    if (!use_apc) {
-        // One select generator per neuron block, shared by its lanes
-        // (cf. the conv layers' per-(block, position, window) scheme).
-        const size_t n_groups = weights.blocked.groups();
-        run.sel_rng.reserve(n_groups * B);
-        for (size_t g = 0; g < n_groups; ++g)
-            for (size_t b = 0; b < B; ++b)
-                run.sel_rng.emplace_back(
-                    siteSeed(seeds[b] ^ kSelectSalt, layer_idx, g));
-    }
-}
-
-void
-ScNetwork::runConvSegment(const StreamGrid &in,
-                          const ConvWeightStreams &weights,
-                          size_t layer_idx, const SegRange &seg,
-                          const std::vector<uint32_t> &active, ConvRun &run,
-                          ThreadPool *pool) const
-{
-    const size_t k = weights.k;
-    const size_t out_w = run.out.w;
-    const size_t n_inputs = weights.n_per_filter;
+    const nn::PlanStage &st = plan_.stages[layer_idx];
+    const sc::InterleavedWeightArena &weights = weights_[layer_idx];
+    // A pooled stage's output pixel pools edge x edge windows at
+    // stride edge; the kernel covers the rest of the input grid, so an
+    // fc stage (edge 1, 1x1 output) has one window over all of it.
+    const size_t edge = st.pooled ? 2 : 1;
+    const size_t windows = edge * edge;
+    const size_t kh = st.in_h - edge * st.out_h + 1;
+    const size_t kw = st.in_w - edge * st.out_w + 1;
+    const size_t out_w = st.out_w;
+    const size_t n_inputs = st.fan_in + 1;
     const size_t B = run.out.arena.images();
     const size_t n_active = active.size();
 
     const blocks::FebKind kind = stageFebKind(layer_idx);
     const bool use_apc = blocks::febUsesApc(kind);
     const bool use_max = blocks::febUsesMaxPool(kind);
-    const size_t positions = run.out.h * run.out.w;
-    const size_t n_groups = weights.blocked.groups();
+    const bool pooled = st.pooled;
+    const size_t positions = st.out_h * st.out_w;
+    const size_t n_groups = weights.groups();
     const size_t seg_words = seg.w1 - seg.w0;
     const size_t seg_stride = seg_words * 64;
     const size_t in_stride = in.arena.strideWords();
-    const std::vector<sc::WeightBlockView> views =
-        blockViews(weights.blocked);
+    const std::vector<sc::WeightBlockView> views = blockViews(weights);
 
     // One (output position, filter block) pair per work item,
     // position-major (item = q * n_groups + g), so a chunk holds runs
-    // of filter blocks at one position. Per run and active image, each
-    // of the four pooling windows' input words is gathered once into
-    // an operand tile and folded against every block of the run — one
+    // of filter blocks at one position (an fc stage has one position,
+    // so its chunk is one run of neuron blocks). Per run and active
+    // image, each window's input words are gathered once into an
+    // operand tile and folded against every block of the run — one
     // input window fanned out to many filters, as in the hardware
     // feature-extraction block. Contiguous chunks go to the pool
     // workers, each with its own reusable workspace; everything
     // randomized is seeded by its (block, position, window) site, so
     // the partition never changes the streams.
-    // Max-pooled APC layers carry the inner products as count planes:
+    // Max-pooled APC stages carry the inner products as count planes:
     // the Figure 8 selector needs per-cycle counts only for the input
     // it forwards, so the kernel skips the plane-to-count transpose
     // for the losing windows (binaryMaxPoolPlanesBatch recovers the
@@ -517,8 +469,8 @@ ScNetwork::runConvSegment(const StreamGrid &in,
             std::max(std::min(hi - lo, n_groups), n_active) *
             sc::kFilterLanes;
         sc::BatchFusedWorkspace wsp;
-        for (auto &xs : wsp.xs0)
-            xs.resize(n_inputs);
+        for (size_t window = 0; window < windows; ++window)
+            wsp.xs0[window].resize(n_inputs);
         wsp.x_strides.assign(n_inputs, in_stride);
         wsp.x_strides[n_inputs - 1] = 0; // shared bias line
         std::vector<uint64_t> planes_buf;
@@ -534,15 +486,18 @@ ScNetwork::runConvSegment(const StreamGrid &in,
             pool_out_ptrs.resize(slots);
             wsp.pooled.resize(slots * seg_stride);
         } else if (use_apc) {
-            wsp.counts.resize(4 * slots * seg_stride);
-            wsp.steps.resize(slots * seg_stride);
+            wsp.counts.resize(windows * slots * seg_stride);
+            if (pooled) {
+                wsp.steps.resize(slots * seg_stride);
+                wsp.step_ptrs.resize(slots);
+            }
         } else {
-            wsp.products.resize(4 * slots * seg_words);
-            wsp.pooled_words.resize(slots * seg_words);
+            wsp.products.resize(windows * slots * seg_words);
+            if (pooled)
+                wsp.pooled_words.resize(slots * seg_words);
         }
         wsp.count_ptrs.resize(slots);
         wsp.word_ptrs.resize(slots);
-        wsp.step_ptrs.resize(slots);
         wsp.out_ptrs.resize(slots);
         wsp.state_ptrs.resize(slots);
         PhaseTimer timer;
@@ -558,14 +513,14 @@ ScNetwork::runConvSegment(const StreamGrid &in,
             const size_t oy = q / out_w;
             const size_t ox = q % out_w;
 
-            for (size_t window = 0; window < 4; ++window) {
-                const size_t cy = 2 * oy + window / 2;
-                const size_t cx = 2 * ox + window % 2;
+            for (size_t window = 0; window < windows; ++window) {
+                const size_t cy = edge * oy + window / edge;
+                const size_t cx = edge * ox + window % edge;
                 std::vector<sc::BitstreamView> &xs = wsp.xs0[window];
                 size_t idx = 0;
-                for (size_t ci = 0; ci < weights.c_in; ++ci)
-                    for (size_t ky = 0; ky < k; ++ky)
-                        for (size_t kx = 0; kx < k; ++kx)
+                for (size_t ci = 0; ci < st.in_c; ++ci)
+                    for (size_t ky = 0; ky < kh; ++ky)
+                        for (size_t kx = 0; kx < kw; ++kx)
                             xs[idx++] = in.at(ci, cy + ky, cx + kx, 0);
                 xs[idx] = bias_line_;
             }
@@ -576,7 +531,7 @@ ScNetwork::runConvSegment(const StreamGrid &in,
                 const uint32_t *imgs = active.data() + j0;
                 const size_t n_imgs = std::min(group, n_active - j0);
                 timer.start();
-                for (size_t window = 0; window < 4; ++window) {
+                for (size_t window = 0; window < windows; ++window) {
                     if (use_apc && use_max) {
                         sc::fusedProductPlanesMultiBatch(
                             wsp.xs0[window], wsp.x_strides, imgs, n_imgs,
@@ -594,7 +549,7 @@ ScNetwork::runConvSegment(const StreamGrid &in,
                             wsp.counts.data() + window * slots * seg_stride,
                             seg_stride, run_lanes * seg_stride);
                     } else {
-                        // MUX layers run the per-image kernel (the
+                        // MUX stages run the per-image kernel (the
                         // selects are per-image RNG sequences anyway).
                         for (size_t jj = 0; jj < n_imgs; ++jj) {
                             sc::shiftViewsForImage(wsp.xs0[window],
@@ -603,7 +558,8 @@ ScNetwork::runConvSegment(const StreamGrid &in,
                             for (size_t g = g0; g < g1; ++g) {
                                 const size_t site = g * positions + q;
                                 sc::Xoshiro256ss &sel =
-                                    run.sel_rng[(site * 4 + window) * B +
+                                    run.sel_rng[(site * windows + window) *
+                                                    B +
                                                 imgs[jj]];
                                 sc::fillMuxSelects(n_inputs, seg.n_cycles,
                                                    sel, wsp.selects);
@@ -626,20 +582,21 @@ ScNetwork::runConvSegment(const StreamGrid &in,
                 // activate them all in one interleaved FSM pass
                 // (independent serial chains overlap in the pipeline,
                 // and the per-call cost is paid once per pass, not per
-                // lane). Max pooling uses the accumulative
-                // (non-resetting) reading of the Figure 8 counters:
-                // inside a trained network the candidate inner
-                // products are separated by O(1/N) in stream value, so
-                // per-segment counts cannot distinguish them, but the
-                // accumulated counts converge on the true maximum
-                // within a few hundred cycles (see DESIGN.md
-                // reconstruction notes).
+                // lane); an unpooled stage hands its inner products
+                // straight to the activation. Max pooling uses the
+                // accumulative (non-resetting) reading of the Figure 8
+                // counters: inside a trained network the candidate
+                // inner products are separated by O(1/N) in stream
+                // value, so per-segment counts cannot distinguish
+                // them, but the accumulated counts converge on the
+                // true maximum within a few hundred cycles (see
+                // DESIGN.md reconstruction notes).
                 // Pairs run pixel-major, image-minor, so consecutive
                 // FSM chains write adjacent arena slots and states. Only
-                // the layer's last block is ragged, so the run's real
+                // the stage's last block is ragged, so the run's real
                 // filters are its first n_filters lanes.
                 const size_t n_filters =
-                    std::min(g1 * sc::kFilterLanes, weights.c_out) -
+                    std::min(g1 * sc::kFilterLanes, st.out_c) -
                     g0 * sc::kFilterLanes;
                 size_t n_pairs = 0;
                 for (size_t r = 0; r < n_filters; ++r) {
@@ -652,7 +609,14 @@ ScNetwork::runConvSegment(const StreamGrid &in,
                         wsp.out_ptrs[pr] =
                             run.out.arena.wordsAt(p, img) + seg.w0;
                         wsp.state_ptrs[pr] = &run.fsm[p * B + img];
-                        if (use_apc && use_max) {
+                        if (!pooled) {
+                            if (use_apc)
+                                wsp.count_ptrs[pr] =
+                                    wsp.counts.data() + lane * seg_stride;
+                            else
+                                wsp.word_ptrs[pr] =
+                                    wsp.products.data() + lane * seg_words;
+                        } else if (use_apc && use_max) {
                             // The plane form: only each pixel's selected
                             // window is ever transposed back to
                             // per-cycle counts.
@@ -679,7 +643,7 @@ ScNetwork::runConvSegment(const StreamGrid &in,
                             for (size_t w = 0; w < 4; ++w)
                                 prod[w] = wsp.products.data() +
                                           (w * slots + lane) * seg_words;
-                            uint64_t *pooled =
+                            uint64_t *pooled_out =
                                 wsp.pooled_words.data() + pr * seg_words;
                             // Unlike the isolated Figure 14(b) study
                             // (operands uniform over [-1,1]),
@@ -692,25 +656,27 @@ ScNetwork::runConvSegment(const StreamGrid &in,
                                 blocks::maxPoolStreamsRange(
                                     prod, 4, seg.c0, seg.n_cycles,
                                     cfg_.segment_len, /*accumulate=*/true,
-                                    run.pool[p * B + img], pooled);
+                                    run.pool[p * B + img], pooled_out);
                             else
                                 blocks::averagePoolingRange(
                                     prod, 4, seg.n_cycles,
-                                    run.pool_rng[p * B + img], pooled);
-                            wsp.word_ptrs[pr] = pooled;
+                                    run.pool_rng[p * B + img], pooled_out);
+                            wsp.word_ptrs[pr] = pooled_out;
                         }
                     }
                 }
-                // Every pixel's pooling segments end on the same
-                // cycles, so one call pools them all.
-                if (use_apc && use_max)
-                    blocks::binaryMaxPoolPlanesBatch(
-                        plane_ptrs.data(), n_pairs, 4, plane_cap,
-                        /*parity=*/true, seg.c0, seg.n_cycles,
-                        cfg_.segment_len, /*accumulate=*/true,
-                        pool_state_ptrs.data(), pool_out_ptrs.data());
-                timer.lap(timer.pooling);
-                if (use_apc && use_max)
+                if (pooled) {
+                    // Every pixel's pooling segments end on the same
+                    // cycles, so one call pools them all.
+                    if (use_apc && use_max)
+                        blocks::binaryMaxPoolPlanesBatch(
+                            plane_ptrs.data(), n_pairs, 4, plane_cap,
+                            /*parity=*/true, seg.c0, seg.n_cycles,
+                            cfg_.segment_len, /*accumulate=*/true,
+                            pool_state_ptrs.data(), pool_out_ptrs.data());
+                    timer.lap(timer.pooling);
+                }
+                if (use_apc && (use_max || !pooled))
                     btanh_tables_[layer_idx]->transformWordsBatch(
                         wsp.count_ptrs.data(), seg.n_cycles,
                         wsp.out_ptrs.data(), wsp.state_ptrs.data(),
@@ -734,127 +700,6 @@ ScNetwork::runConvSegment(const StreamGrid &in,
         parallelForChunks(*pool, 0, positions * n_groups, body);
     else
         parallelForChunks(0, positions * n_groups, body);
-}
-
-void
-ScNetwork::runFcSegment(const std::vector<sc::BitstreamView> &in0,
-                        const std::vector<size_t> &in_strides,
-                        const FcWeightStreams &weights, size_t layer_idx,
-                        const SegRange &seg,
-                        const std::vector<uint32_t> &active, FcRun &run,
-                        ThreadPool *pool) const
-{
-    SCDCNN_ASSERT(in0.size() == weights.n_in,
-                  "fc layer expects %zu inputs, got %zu", weights.n_in,
-                  in0.size());
-    const size_t n_inputs = weights.n_in + 1;
-    const size_t B = run.out.images();
-    const size_t n_active = active.size();
-    const bool use_apc = blocks::febUsesApc(stageFebKind(layer_idx));
-
-    const size_t n_groups = weights.blocked.groups();
-    const size_t seg_words = seg.w1 - seg.w0;
-    const size_t seg_stride = seg_words * 64;
-    const std::vector<sc::WeightBlockView> views =
-        blockViews(weights.blocked);
-
-    // One neuron block per work item, so a chunk is one run of blocks:
-    // per active image the input words are gathered once into an
-    // operand tile and folded against every block of the run, and the
-    // run's lanes activate together — several images per pass when the
-    // run is shorter than the batch, as in runConvSegment.
-    const auto body = [&](size_t lo, size_t hi) {
-        const std::span<const sc::WeightBlockView> run_blocks(
-            views.data() + lo, hi - lo);
-        const size_t run_lanes = run_blocks.size() * sc::kFilterLanes;
-        const size_t slots =
-            std::max(run_blocks.size(), n_active) * sc::kFilterLanes;
-        const size_t group = std::min(slots / run_lanes, n_active);
-        sc::BatchFusedWorkspace wsp;
-        std::vector<sc::BitstreamView> &xs = wsp.xs0[0];
-        xs.assign(in0.begin(), in0.end());
-        xs.push_back(bias_line_);
-        wsp.x_strides.assign(in_strides.begin(), in_strides.end());
-        wsp.x_strides.push_back(0);
-        if (use_apc)
-            wsp.counts.resize(slots * seg_stride);
-        else
-            wsp.products.resize(slots * seg_words);
-        wsp.count_ptrs.resize(slots);
-        wsp.word_ptrs.resize(slots);
-        wsp.out_ptrs.resize(slots);
-        wsp.state_ptrs.resize(slots);
-        PhaseTimer timer;
-        // Scratch lane of (image jj of the group, run lane r):
-        // jj * run_lanes + r.
-        for (size_t j0 = 0; j0 < n_active; j0 += group) {
-            const uint32_t *imgs = active.data() + j0;
-            const size_t n_imgs = std::min(group, n_active - j0);
-            timer.start();
-            if (use_apc) {
-                sc::fusedProductCountsMultiBatch(
-                    xs, wsp.x_strides, imgs, n_imgs, run_blocks,
-                    /*approximate=*/true, seg.w0, seg.w1, wsp.tile,
-                    wsp.counts.data(), seg_stride, run_lanes * seg_stride);
-            } else {
-                for (size_t jj = 0; jj < n_imgs; ++jj) {
-                    sc::shiftViewsForImage(xs, wsp.x_strides, imgs[jj],
-                                           wsp.xs_img);
-                    for (size_t g = lo; g < hi; ++g) {
-                        sc::Xoshiro256ss &sel =
-                            run.sel_rng[g * B + imgs[jj]];
-                        sc::fillMuxSelects(n_inputs, seg.n_cycles, sel,
-                                           wsp.selects);
-                        sc::fusedMuxProductMulti(
-                            wsp.xs_img, views[g], wsp.selects, seg.w0,
-                            seg.w1,
-                            wsp.products.data() +
-                                (jj * run_lanes +
-                                 (g - lo) * sc::kFilterLanes) *
-                                    seg_words,
-                            seg_words);
-                    }
-                }
-            }
-            timer.lap(timer.inner_product);
-
-            // Neuron-major, image-minor pairs; only the layer's last
-            // block is ragged.
-            const size_t n_neurons =
-                std::min(hi * sc::kFilterLanes, weights.n_out) -
-                lo * sc::kFilterLanes;
-            size_t n_pairs = 0;
-            for (size_t r = 0; r < n_neurons; ++r) {
-                const size_t o = lo * sc::kFilterLanes + r;
-                for (size_t jj = 0; jj < n_imgs; ++jj, ++n_pairs) {
-                    const size_t img = imgs[jj];
-                    const size_t lane = jj * run_lanes + r;
-                    wsp.out_ptrs[n_pairs] = run.out.wordsAt(o, img) + seg.w0;
-                    wsp.state_ptrs[n_pairs] = &run.fsm[o * B + img];
-                    if (use_apc)
-                        wsp.count_ptrs[n_pairs] =
-                            wsp.counts.data() + lane * seg_stride;
-                    else
-                        wsp.word_ptrs[n_pairs] =
-                            wsp.products.data() + lane * seg_words;
-                }
-            }
-            if (use_apc)
-                btanh_tables_[layer_idx]->transformWordsBatch(
-                    wsp.count_ptrs.data(), seg.n_cycles,
-                    wsp.out_ptrs.data(), wsp.state_ptrs.data(), n_pairs);
-            else
-                stanh_tables_[layer_idx]->transformWordsBatch(
-                    wsp.word_ptrs.data(), seg.n_cycles,
-                    wsp.out_ptrs.data(), wsp.state_ptrs.data(), n_pairs);
-            timer.lap(timer.activation);
-        }
-        flushPhases(timer, seg.w0, layer_idx);
-    };
-    if (pool != nullptr)
-        parallelForChunks(*pool, 0, n_groups, body);
-    else
-        parallelForChunks(0, n_groups, body);
 }
 
 void
@@ -934,43 +779,27 @@ ScNetwork::forwardFused(std::span<const nn::Tensor> images,
     // Per-stage carried state, seeded positionally per stage index
     // (0x1111, 0x2222, ... — stage l of image b gets
     // seeds[b] ^ 0x1111*(l+1)).
-    const size_t n_convs = convs_.size();
-    const size_t n_fcs = fcs_.size();
+    const size_t n_stages = plan_.stages.size();
     StreamGrid x = encodeImages(images, seeds, pool);
-    std::vector<ConvRun> cruns(n_convs);
-    std::vector<FcRun> fruns(n_fcs);
+    std::vector<StageRun> runs(n_stages);
     OutputRun out;
     std::vector<uint64_t> stage_seeds(B);
-    for (size_t l = 0; l < n_convs; ++l) {
+    for (size_t l = 0; l < n_stages; ++l) {
         for (size_t b = 0; b < B; ++b)
             stage_seeds[b] = seeds[b] ^ (0x1111ULL * (l + 1));
-        initConvRun(cruns[l], l == 0 ? x : cruns[l - 1].out, convs_[l], l,
-                    stage_seeds);
-    }
-    for (size_t j = 0; j < n_fcs; ++j) {
-        for (size_t b = 0; b < B; ++b)
-            stage_seeds[b] = seeds[b] ^ (0x1111ULL * (n_convs + j + 1));
-        initFcRun(fruns[j], fcs_[j], n_convs + j, stage_seeds);
+        initStageRun(runs[l], l, stage_seeds);
     }
     out.acc.assign(out_.n_out * B, {});
     out.consumed.assign(B, 0);
 
-    // Input views of each fc stage and of the output layer: image-0
-    // views plus the per-site image word stride of the producing
-    // arena. The flattened last conv grid (or the image itself for
-    // conv-free nets) feeds the first fc; each later stage reads its
-    // predecessor's output arena.
-    const auto producer = [&](size_t j) -> const sc::BatchStreamArena & {
-        if (j > 0)
-            return fruns[j - 1].out;
-        return n_convs > 0 ? cruns.back().out.arena : x.arena;
-    };
-    std::vector<std::vector<sc::BitstreamView>> fc_in(n_fcs + 1);
-    std::vector<std::vector<size_t>> fc_strides(n_fcs + 1);
-    for (size_t j = 0; j <= n_fcs; ++j) {
-        fc_in[j] = imageZeroViews(producer(j));
-        fc_strides[j].assign(fc_in[j].size(), producer(j).strideWords());
-    }
+    // The output layer reads the last stage's grid flattened (the
+    // encoded images for a net with no hidden stage): image-0 views
+    // plus the producing arena's per-site image word stride.
+    const sc::BatchStreamArena &last =
+        n_stages > 0 ? runs.back().out.arena : x.arena;
+    const std::vector<sc::BitstreamView> out_in = imageZeroViews(last);
+    const std::vector<size_t> out_strides(out_in.size(),
+                                          last.strideWords());
 
     std::vector<uint32_t> active(B);
     for (size_t b = 0; b < B; ++b)
@@ -987,14 +816,10 @@ ScNetwork::forwardFused(std::span<const nn::Tensor> images,
         seg.c0 = w0 * 64;
         seg.n_cycles = std::min(seg.w1 * 64, len) - seg.c0;
 
-        for (size_t l = 0; l < n_convs; ++l)
-            runConvSegment(l == 0 ? x : cruns[l - 1].out, convs_[l], l, seg,
-                           active, cruns[l], pool);
-        for (size_t j = 0; j < n_fcs; ++j)
-            runFcSegment(fc_in[j], fc_strides[j], fcs_[j], n_convs + j, seg,
-                         active, fruns[j], pool);
-        runOutputSegment(fc_in[n_fcs], fc_strides[n_fcs], seg, active,
-                         out);
+        for (size_t l = 0; l < n_stages; ++l)
+            runStageSegment(l == 0 ? x : runs[l - 1].out, l, seg, active,
+                            runs[l], pool);
+        runOutputSegment(out_in, out_strides, seg, active, out);
 
         // Per-image Progressive early exit: an image whose class
         // decision is stable by the margin is removed from the active
@@ -1073,9 +898,10 @@ ScNetwork::StreamGrid
 ScNetwork::referenceConv(const StreamGrid &in, size_t layer_idx,
                          uint64_t seed) const
 {
-    const ConvWeightStreams &weights = convs_[layer_idx];
-    const size_t k = weights.k;
-    const size_t n_inputs = weights.n_per_filter;
+    const nn::PlanStage &st = plan_.stages[layer_idx];
+    const sc::InterleavedWeightArena &weights = weights_[layer_idx];
+    const size_t k = st.in_h - 2 * st.out_h + 1;
+    const size_t n_inputs = st.fan_in + 1;
     const size_t len = cfg_.bitstream_len;
     const size_t n_words = (len + 63) / 64;
     const blocks::FebKind kind = stageFebKind(layer_idx);
@@ -1084,7 +910,7 @@ ScNetwork::referenceConv(const StreamGrid &in, size_t layer_idx,
     const bool use_max = blocks::febUsesMaxPool(kind);
 
     StreamGrid out;
-    out.c = weights.c_out;
+    out.c = st.out_c;
     out.h = (in.h - k + 1) / 2;
     out.w = (in.w - k + 1) / 2;
     out.arena.reset(out.c * out.h * out.w, 1, len);
@@ -1095,7 +921,7 @@ ScNetwork::referenceConv(const StreamGrid &in, size_t layer_idx,
     // fused runner's generators, with every kernel swapped for its
     // bit-serial twin and every stream processed whole.
     parallelForChunks(
-        0, weights.blocked.groups() * positions, [&](size_t lo, size_t hi) {
+        0, weights.groups() * positions, [&](size_t lo, size_t hi) {
             std::vector<sc::BitstreamView> xs(n_inputs);
             std::vector<uint16_t> selects;
             std::vector<uint16_t> counts_block(4 * sc::kFilterLanes *
@@ -1111,12 +937,12 @@ ScNetwork::referenceConv(const StreamGrid &in, size_t layer_idx,
                 const size_t q = site % positions;
                 const size_t oy = q / out.w;
                 const size_t ox = q % out.w;
-                const sc::WeightBlockView block = weights.blocked.block(g);
+                const sc::WeightBlockView block = weights.block(g);
                 for (size_t window = 0; window < 4; ++window) {
                     const size_t cy = 2 * oy + window / 2;
                     const size_t cx = 2 * ox + window % 2;
                     size_t idx = 0;
-                    for (size_t ci = 0; ci < weights.c_in; ++ci)
+                    for (size_t ci = 0; ci < st.in_c; ++ci)
                         for (size_t ky = 0; ky < k; ++ky)
                             for (size_t kx = 0; kx < k; ++kx)
                                 xs[idx++] = in.at(ci, cy + ky, cx + kx, 0);
@@ -1196,11 +1022,12 @@ sc::BatchStreamArena
 ScNetwork::referenceFc(const std::vector<sc::BitstreamView> &in,
                        size_t layer_idx, uint64_t seed) const
 {
-    const FcWeightStreams &weights = fcs_[layer_idx - convs_.size()];
-    SCDCNN_ASSERT(in.size() == weights.n_in,
-                  "fc layer expects %zu inputs, got %zu", weights.n_in,
+    const nn::PlanStage &st = plan_.stages[layer_idx];
+    const sc::InterleavedWeightArena &weights = weights_[layer_idx];
+    SCDCNN_ASSERT(in.size() == st.fan_in,
+                  "fc layer expects %zu inputs, got %zu", st.fan_in,
                   in.size());
-    const size_t n_inputs = weights.n_in + 1;
+    const size_t n_inputs = st.fan_in + 1;
     const size_t len = cfg_.bitstream_len;
     const size_t n_words = (len + 63) / 64;
     const unsigned state_count = layer_k_[layer_idx];
@@ -1208,9 +1035,8 @@ ScNetwork::referenceFc(const std::vector<sc::BitstreamView> &in,
     const size_t lane_stride = n_words * 64;
 
     sc::BatchStreamArena out;
-    out.reset(weights.n_out, 1, len);
-    parallelForChunks(0, weights.blocked.groups(), [&](size_t lo,
-                                                       size_t hi) {
+    out.reset(st.out_c, 1, len);
+    parallelForChunks(0, weights.groups(), [&](size_t lo, size_t hi) {
         std::vector<sc::BitstreamView> xs(in);
         xs.push_back(bias_line_);
         std::vector<uint16_t> selects;
@@ -1218,7 +1044,7 @@ ScNetwork::referenceFc(const std::vector<sc::BitstreamView> &in,
         std::vector<uint64_t> product_block(sc::kFilterLanes * n_words);
         std::vector<uint16_t> counts;
         for (size_t g = lo; g < hi; ++g) {
-            const sc::WeightBlockView block = weights.blocked.block(g);
+            const sc::WeightBlockView block = weights.block(g);
             if (use_apc) {
                 sc::referenceProductCountsMulti(
                     xs, block, /*approximate=*/true, 0, n_words,
@@ -1260,7 +1086,7 @@ ScNetwork::predictReference(const nn::Tensor &image, uint64_t seed,
 {
     const size_t len = cfg_.bitstream_len;
     const size_t n_words = (len + 63) / 64;
-    const size_t n_convs = convs_.size();
+    const size_t n_convs = plan_.convCount();
     StreamGrid grid = encodeImages(std::span(&image, 1), {seed}, nullptr);
     for (size_t l = 0; l < n_convs; ++l)
         grid = referenceConv(grid, l, seed ^ (0x1111ULL * (l + 1)));

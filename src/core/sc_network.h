@@ -343,23 +343,6 @@ class ScNetwork
         }
     };
 
-    /** Conv layer weight streams in the filter-interleaved layout:
-     *  filter f, tap t of n_per_filter = c_in*k*k + 1 (bias last). */
-    struct ConvWeightStreams
-    {
-        size_t c_in = 0, c_out = 0, k = 0;
-        size_t n_per_filter = 0;
-        sc::InterleavedWeightArena blocked;
-    };
-
-    /** Hidden FC layer weight streams, neuron o, tap i < n_in + 1
-     *  (bias last), interleaved as above. */
-    struct FcWeightStreams
-    {
-        size_t n_in = 0, n_out = 0;
-        sc::InterleavedWeightArena blocked;
-    };
-
     /** Output layer weight streams, class o's at slots
      *  [o*(n_in+1), (o+1)*(n_in+1)) (bias last), in the plain layout
      *  the popcount-total kernel reads. */
@@ -382,27 +365,20 @@ class ScNetwork
         size_t c0 = 0, n_cycles = 0;
     };
 
-    /** Per-forward carried state of a conv layer: the output grid plus
-     *  per-pixel activation-FSM states, pooling-selector carry, and
-     *  (MUX layers) the per-site generators, replicated per image at
-     *  index site * B + image and seeded from position, so any thread
-     *  partition reproduces the same streams and an image's state
-     *  freezes in place when it leaves the active set. */
-    struct ConvRun
+    /** Per-forward carried state of a hidden stage: the output grid
+     *  plus per-pixel activation-FSM states, pooling-selector carry
+     *  (max-pooled stages), and (MUX stages) the per-site generators,
+     *  replicated per image at index site * B + image and seeded from
+     *  position, so any thread partition reproduces the same streams
+     *  and an image's state freezes in place when it leaves the active
+     *  set. */
+    struct StageRun
     {
         StreamGrid out;
         std::vector<uint16_t> fsm;                   //!< [pixel][image]
         std::vector<blocks::MaxPoolCarryState> pool; //!< [pixel][image]
         std::vector<sc::Xoshiro256ss> sel_rng;       //!< [site][window][image]
         std::vector<sc::Xoshiro256ss> pool_rng;      //!< [pixel][image]
-    };
-
-    /** Per-forward carried state of an FC layer. */
-    struct FcRun
-    {
-        sc::BatchStreamArena out;
-        std::vector<uint16_t> fsm;             //!< [neuron][image]
-        std::vector<sc::Xoshiro256ss> sel_rng; //!< [group][image]
     };
 
     /** Per-forward carried state of the binary output layer:
@@ -419,26 +395,25 @@ class ScNetwork
                             const std::vector<uint64_t> &seeds,
                             ThreadPool *pool) const;
 
-    void initConvRun(ConvRun &run, const StreamGrid &in,
-                     const ConvWeightStreams &weights, size_t layer_idx,
-                     const std::vector<uint64_t> &seeds) const;
+    /** Size @p run for hidden stage @p layer_idx over seeds.size()
+     *  images and seed its generators from @p seeds (the stage seeds
+     *  of each image). */
+    void initStageRun(StageRun &run, size_t layer_idx,
+                      const std::vector<uint64_t> &seeds) const;
 
-    void initFcRun(FcRun &run, const FcWeightStreams &weights,
-                   size_t layer_idx,
-                   const std::vector<uint64_t> &seeds) const;
-
-    void runConvSegment(const StreamGrid &in,
-                        const ConvWeightStreams &weights, size_t layer_idx,
-                        const SegRange &seg,
-                        const std::vector<uint32_t> &active, ConvRun &run,
-                        ThreadPool *pool) const;
-
-    void runFcSegment(const std::vector<sc::BitstreamView> &in0,
-                      const std::vector<size_t> &in_strides,
-                      const FcWeightStreams &weights, size_t layer_idx,
-                      const SegRange &seg,
-                      const std::vector<uint32_t> &active, FcRun &run,
-                      ThreadPool *pool) const;
+    /**
+     * One segment of hidden stage @p layer_idx over its producer's
+     * grid @p in, for every active image. Every stage is the same
+     * feature extraction block: a pooled (conv) stage has 4 windows
+     * per output pixel, an unpooled (fc) stage 1, and the kernel is
+     * whatever part of the input grid a window covers, so an fc stage
+     * is one window over the whole (in_c, in_h, in_w) grid with a 1x1
+     * output grid.
+     */
+    void runStageSegment(const StreamGrid &in, size_t layer_idx,
+                         const SegRange &seg,
+                         const std::vector<uint32_t> &active,
+                         StageRun &run, ThreadPool *pool) const;
 
     void runOutputSegment(const std::vector<sc::BitstreamView> &in0,
                           const std::vector<size_t> &in_strides,
@@ -485,11 +460,11 @@ class ScNetwork
     EngineMode engine_ = EngineMode::Fused;
     sc::Bitstream bias_line_; //!< the constant +1 stream
 
-    /** Weight streams of the hidden stages, in plan order: conv
-     *  stages first (convs_[l] is stage l), then the hidden fc stages
-     *  (fcs_[l - convs_.size()]), then the binary output layer. */
-    std::vector<ConvWeightStreams> convs_;
-    std::vector<FcWeightStreams> fcs_;
+    /** Weight streams of the hidden stages in the filter-interleaved
+     *  layout (weights_[l] is stage l: filter f, tap t of fan_in + 1,
+     *  taps in (c_in, ky, kx) order, bias last), then the binary
+     *  output layer's. */
+    std::vector<sc::InterleavedWeightArena> weights_;
     OutputWeightStreams out_;
 
     std::vector<double> layer_gain_;

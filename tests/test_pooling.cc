@@ -308,8 +308,8 @@ const size_t kRangePartitions[] = {1, 2, 3, 100};
 TEST(MaxPoolRange, CarriedStateMatchesWholeStreamKernel)
 {
     // Streaming the Figure 8 selector range by range with a carried
-    // MaxPoolCarryState must be bit-exact with the whole-stream fused
-    // kernel — including pooling segments straddling range boundaries
+    // MaxPoolCarryState must be bit-exact with the bit-serial oracle —
+    // including pooling segments straddling range boundaries
     // (segment_len 24 never aligns with 64-cycle words).
     const size_t len = 300;
     const size_t n_words = (len + 63) / 64;
@@ -317,8 +317,8 @@ TEST(MaxPoolRange, CarriedStateMatchesWholeStreamKernel)
     const auto views = sc::toViews(ins);
     for (size_t segment_len : {size_t{16}, size_t{24}, size_t{7}}) {
         for (bool accumulate : {false, true}) {
-            sc::Bitstream whole;
-            maxPoolStreamsFused(views, segment_len, 0, accumulate, whole);
+            const sc::Bitstream whole = maxPoolStreamsReference(
+                views, segment_len, 0, accumulate);
             for (size_t seg_words : kRangePartitions) {
                 std::vector<uint64_t> stitched(n_words, 0);
                 MaxPoolCarryState state;

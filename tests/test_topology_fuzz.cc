@@ -3,8 +3,9 @@
  * Randomized-topology differential test: the engine must handle *any*
  * sequential conv/pool/fc topology the plan grammar admits, not just
  * the golden LeNet5 shape. For ~20 seeded random topologies (varying
- * conv depth, channel counts, kernel sizes, pooling modes, adder
- * kinds, fc widths, class counts and stream lengths) the fused
+ * input channels and non-square input edges, conv depth, channel
+ * counts, kernel sizes, pooling modes, adder kinds, fc widths, class
+ * counts and stream lengths) the fused
  * word-parallel engine — single images and micro-batches alike — must
  * be bit-exact against the bit-serial Reference oracle at every tested
  * segment granularity, and the SC
@@ -71,18 +72,23 @@ randomTopology(uint64_t case_idx)
 
     FuzzTopology t;
     t.spec.seed = 100 + case_idx + fuzzSeedOffset() * 1000;
-    // Even input edges keep odd-kernel conv outputs 2x2-poolable.
-    t.spec.in_h = t.spec.in_w = 12 + 2 * pick(5); // 12..20
-    size_t h = t.spec.in_h;
+    // Even input edges keep odd-kernel conv outputs 2x2-poolable. The
+    // edges are drawn apart and the input may carry several channels,
+    // so the fc flatten order is checked where (c, h, w) order matters.
+    t.spec.in_c = 1 + pick(3);      // 1..3
+    t.spec.in_h = 12 + 2 * pick(5); // 12..20
+    t.spec.in_w = 12 + 2 * pick(5); // 12..20
+    size_t h = t.spec.in_h, w = t.spec.in_w;
     const size_t n_convs = pick(3); // 0..2
     for (size_t i = 0; i < n_convs; ++i) {
         // Odd kernels on even inputs keep the conv output poolable;
-        // stop stacking once the pooled edge goes odd or too small.
-        if (h % 2 != 0 || h < 4)
+        // stop stacking once either pooled edge goes odd or too small.
+        if (h % 2 != 0 || w % 2 != 0 || std::min(h, w) < 4)
             break;
-        const size_t k = (h >= 6 && pick(2) == 0) ? 5 : 3;
+        const size_t k = (std::min(h, w) >= 6 && pick(2) == 0) ? 5 : 3;
         t.spec.convs.push_back({2 + pick(7), k}); // 2..8 channels
         h = (h - k + 1) / 2;
+        w = (w - k + 1) / 2;
     }
     const size_t n_fc = pick(3); // 0..2 hidden fc stages
     for (size_t i = 0; i < n_fc; ++i)
@@ -97,17 +103,17 @@ randomTopology(uint64_t case_idx)
                                              : core::AdderKind::Mux;
     const size_t lens[] = {128, 192, 200};
     t.cfg.bitstream_len = lens[pick(3)];
-    t.cfg.input_c = 1;
+    t.cfg.input_c = t.spec.in_c;
     t.cfg.input_h = t.spec.in_h;
     t.cfg.input_w = t.spec.in_w;
     return t;
 }
 
 nn::Tensor
-randomImage(size_t h, size_t w, uint64_t seed)
+randomImage(const nn::TopologySpec &spec, uint64_t seed)
 {
     sc::Xoshiro256ss rng(seed + fuzzSeedOffset() * 77777);
-    nn::Tensor img(1, h, w);
+    nn::Tensor img(spec.in_c, spec.in_h, spec.in_w);
     for (size_t i = 0; i < img.size(); ++i)
         img[i] = static_cast<float>(rng.nextDouble());
     return img;
@@ -120,8 +126,7 @@ TEST(TopologyFuzz, FusedMatchesReferenceAtEverySegmentSize)
     for (uint64_t c = 0; c < kCases; ++c) {
         FuzzTopology t = randomTopology(c);
         nn::Network net = nn::buildTopology(t.spec, t.pooling);
-        const nn::Tensor img =
-            randomImage(t.spec.in_h, t.spec.in_w, 500 + c);
+        const nn::Tensor img = randomImage(t.spec, 500 + c);
         const uint64_t seed = 9000 + c;
 
         core::ScNetworkConfig cfg = t.cfg;
@@ -176,8 +181,7 @@ TEST(TopologyFuzz, ScScoresTrackTheFloatLogits)
     for (uint64_t c = 0; c < kCases; ++c) {
         FuzzTopology t = randomTopology(c);
         nn::Network net = nn::buildTopology(t.spec, t.pooling);
-        const nn::Tensor img =
-            randomImage(t.spec.in_h, t.spec.in_w, 500 + c);
+        const nn::Tensor img = randomImage(t.spec, 500 + c);
 
         nn::Network float_net = net;
         const nn::Tensor logits = float_net.forward(img);
@@ -221,8 +225,7 @@ TEST(TopologyFuzz, BatchedPathMatchesReferenceOnEveryRandomTopology)
 
         std::vector<nn::Tensor> images;
         for (size_t i = 0; i < 3; ++i)
-            images.push_back(
-                randomImage(t.spec.in_h, t.spec.in_w, 800 + c * 10 + i));
+            images.push_back(randomImage(t.spec, 800 + c * 10 + i));
 
         core::PredictOptions ref_opts;
         ref_opts.mode = core::EngineMode::Reference;
@@ -353,12 +356,11 @@ TEST(TopologyFuzz, BinaryMatchesItsBitSerialReferenceTwin)
         FuzzTopology t = randomTopology(c);
         nn::Network net = nn::buildTopology(t.spec, t.pooling);
         const nn::NetworkPlan plan = nn::deriveNetworkPlan(
-            net, 1, t.spec.in_h, t.spec.in_w);
+            net, t.spec.in_c, t.spec.in_h, t.spec.in_w);
         const core::BinaryNetwork bin(net, plan);
 
         for (size_t i = 0; i < 3; ++i) {
-            const nn::Tensor img = randomImage(
-                t.spec.in_h, t.spec.in_w, 600 + c * 10 + i);
+            const nn::Tensor img = randomImage(t.spec, 600 + c * 10 + i);
             std::vector<double> fused_scores, ref_scores;
             const size_t fused_pred =
                 bin.predict(img, &fused_scores,
@@ -386,8 +388,7 @@ TEST(TopologyFuzz, BinaryScoresMatchTheFloatSignNetOracle)
         nn::Network net = nn::buildTopology(t.spec, t.pooling);
         core::ScNetwork sc(net, t.cfg);
 
-        const nn::Tensor img =
-            randomImage(t.spec.in_h, t.spec.in_w, 500 + c);
+        const nn::Tensor img = randomImage(t.spec, 500 + c);
         const std::vector<double> oracle =
             floatSignOracle(net, sc.plan(), t.pooling, img);
 
@@ -427,8 +428,7 @@ TEST(TopologyFuzz, BinaryForwardBatchIsThreadCountInvariant)
 
     std::vector<nn::Tensor> images;
     for (size_t i = 0; i < 5; ++i)
-        images.push_back(
-            randomImage(t.spec.in_h, t.spec.in_w, 300 + i));
+        images.push_back(randomImage(t.spec, 300 + i));
 
     core::PredictOptions popts;
     popts.mode = core::EngineMode::Binary;
@@ -450,25 +450,26 @@ TEST(TopologyFuzz, BinaryForwardBatchIsThreadCountInvariant)
 
 TEST(TopologyFuzz, BatchedForwardIsThreadCountInvariantOffLeNet)
 {
-    // forwardBatch on a non-LeNet topology: predictions must be
+    // forwardBatch on every corpus topology: predictions must be
     // identical for any pool size and must match per-image predict()
     // at the batch seed schedule (seed + i * 7919).
-    FuzzTopology t = randomTopology(3);
-    nn::Network net = nn::buildTopology(t.spec, t.pooling);
-    core::ScNetwork sc(net, t.cfg);
-
-    std::vector<nn::Tensor> images;
-    for (size_t i = 0; i < 5; ++i)
-        images.push_back(
-            randomImage(t.spec.in_h, t.spec.in_w, 700 + i));
-
     ThreadPool one(1), three(3);
-    const auto a = sc.forwardBatch(images, 42, &one);
-    const auto b = sc.forwardBatch(images, 42, &three);
-    EXPECT_EQ(a, b);
-    for (size_t i = 0; i < images.size(); ++i)
-        EXPECT_EQ(a[i], sc.predict(images[i], 42 + i * 7919))
-            << "image=" << i;
+    for (uint64_t c = 0; c < kCases; ++c) {
+        FuzzTopology t = randomTopology(c);
+        nn::Network net = nn::buildTopology(t.spec, t.pooling);
+        core::ScNetwork sc(net, t.cfg);
+
+        std::vector<nn::Tensor> images;
+        for (size_t i = 0; i < 5; ++i)
+            images.push_back(randomImage(t.spec, 700 + i));
+
+        const auto a = sc.forwardBatch(images, 42, &one);
+        const auto b = sc.forwardBatch(images, 42, &three);
+        EXPECT_EQ(a, b) << "case=" << c;
+        for (size_t i = 0; i < images.size(); ++i)
+            EXPECT_EQ(a[i], sc.predict(images[i], 42 + i * 7919))
+                << "case=" << c << " image=" << i;
+    }
 }
 
 } // namespace

@@ -505,19 +505,27 @@ TEST(PhaseProfile, EngineEmitsPhaseSpansPerStage)
 
     // ...and each hidden stage emits its own spans, the stage index in
     // the span's extra field (the output layer's is stageCount()).
-    std::set<uint16_t> inner_stages, output_stages;
+    std::set<uint16_t> inner_stages, pooling_stages, output_stages;
     for (const Event &e : rec.snapshot()) {
         if (e.kind() != EventKind::SpanComplete)
             continue;
         if (e.name() == SpanName::InnerProduct)
             inner_stages.insert(e.extra());
+        if (e.name() == SpanName::Pooling)
+            pooling_stages.insert(e.extra());
         if (e.name() == SpanName::Output)
             output_stages.insert(e.extra());
     }
-    std::set<uint16_t> hidden;
-    for (size_t l = 0; l < scn.stageCount(); ++l)
+    std::set<uint16_t> hidden, pooled;
+    for (size_t l = 0; l < scn.stageCount(); ++l) {
         hidden.insert(static_cast<uint16_t>(l));
+        if (scn.plan().stages[l].pooled)
+            pooled.insert(static_cast<uint16_t>(l));
+    }
     EXPECT_EQ(inner_stages, hidden);
+    // Unpooled (fc) stages hand their inner products straight to the
+    // activation, so only pooled stages emit pooling spans.
+    EXPECT_EQ(pooling_stages, pooled);
     EXPECT_EQ(output_stages,
               std::set<uint16_t>{static_cast<uint16_t>(scn.stageCount())});
 
