@@ -69,20 +69,19 @@ main(int argc, char **argv)
     std::printf("progressive precision vs full L=%zu "
                 "(same images/seeds):\n", entry.config.bitstream_len);
     for (double margin : {2.0, 4.0}) {
-        core::ScNetworkConfig prog_cfg = entry.config;
-        prog_cfg.progressive_margin = margin;
+        core::PredictOptions prog;
+        prog.mode = core::EngineMode::Progressive;
+        prog.progressive_margin = margin;
         // The default exit floor equals short configs' whole stream;
         // scale it so every Table 6 length can demonstrate the trade.
-        prog_cfg.progressive_min_bits = prog_cfg.bitstream_len / 4;
-        core::ScNetwork prog_net(net, prog_cfg);
-        prog_net.setEngineMode(core::EngineMode::Progressive);
+        prog.progressive_min_bits = entry.config.bitstream_len / 4;
         size_t prog_correct = 0;
         uint64_t bits = 0;
         core::ForwardInfo info;
         for (size_t i = 0; i < test.size(); ++i) {
             const nn::Sample &s = test.samples[i];
             prog_correct +=
-                prog_net.predict(s.image, 1000 + i, &info) ==
+                sc_net.predictWith(s.image, 1000 + i, prog, &info) ==
                 s.label;
             bits += info.effective_bits;
         }

@@ -54,7 +54,6 @@ struct ScNetworkConfig
      *  layer_adders. */
     std::array<unsigned, 3> weight_bits = {7, 7, 6};
     size_t segment_len = 16;
-    blocks::KPolicy k_policy = blocks::KPolicy::Paper;
 
     /** Input image geometry the engine is built for (the plan is
      *  derived and validated against it at construction). */
@@ -68,23 +67,10 @@ struct ScNetworkConfig
      * every segment boundary is an early-exit and cancellation
      * checkpoint. 0 (whole stream, which would leave no mid-stream
      * checkpoint) falls back to 4 words. Governs Progressive only —
-     * Fused follows batch_stream_segment_words and Reference always
-     * runs whole streams. Results are bit-exact for every value.
+     * Fused and Reference always run whole streams. Results are
+     * bit-exact for every value.
      */
     size_t stream_segment_words = 4;
-
-    /**
-     * EngineMode::Fused segment granularity, in 64-bit words, for
-     * single images and micro-batches alike. 0 (the default) runs
-     * whole-stream — each weight block is streamed exactly once per
-     * forward pass, which measures faster than short segments because
-     * the batch path's cache reuse comes from keeping weights resident
-     * across images, not from short stream slices — and so polls no
-     * cancellation signal mid-stream. Governs Fused only (Progressive
-     * follows stream_segment_words). Results are bit-exact for every
-     * value.
-     */
-    size_t batch_stream_segment_words = 0;
 
     /**
      * EngineMode::Progressive early-exit threshold: stop consuming
@@ -131,11 +117,9 @@ struct ScNetworkConfig
                a.bitstream_len == b.bitstream_len &&
                a.weight_bits == b.weight_bits &&
                a.segment_len == b.segment_len &&
-               a.k_policy == b.k_policy && a.input_c == b.input_c &&
-               a.input_h == b.input_h && a.input_w == b.input_w &&
+               a.input_c == b.input_c && a.input_h == b.input_h &&
+               a.input_w == b.input_w &&
                a.stream_segment_words == b.stream_segment_words &&
-               a.batch_stream_segment_words ==
-                   b.batch_stream_segment_words &&
                a.progressive_margin == b.progressive_margin &&
                a.progressive_min_bits == b.progressive_min_bits;
     }

@@ -761,18 +761,13 @@ ScNetwork::forwardFused(std::span<const nn::Tensor> images,
     // (mid-stream exits and compaction live on segment boundaries, so
     // a whole-stream knob falls back to the default granularity there
     // instead of silently degrading to plain Fused); full precision
-    // follows the batch knob, whole-stream by default so each weight
-    // block streams once per forward pass. Results are bit-exact for
-    // every segment size.
-    size_t seg_words;
+    // runs whole-stream, so each weight block streams once per forward
+    // pass. Results are bit-exact for every segment size.
+    size_t seg_words = n_words;
     if (mode == EngineMode::Progressive) {
         seg_words = cfg_.stream_segment_words;
         if (seg_words == 0)
             seg_words = kProgressiveFallbackSegmentWords;
-    } else {
-        seg_words = cfg_.batch_stream_segment_words;
-        if (seg_words == 0)
-            seg_words = n_words;
     }
     seg_words = std::min(seg_words, n_words);
 
@@ -1117,7 +1112,7 @@ size_t
 ScNetwork::predict(const nn::Tensor &image, uint64_t seed,
                    ForwardInfo *info) const
 {
-    return predictWith(image, seed, defaultOptions(), info);
+    return predictWith(image, seed, PredictOptions{}, info);
 }
 
 size_t
@@ -1156,7 +1151,7 @@ std::vector<size_t>
 ScNetwork::forwardBatch(const std::vector<nn::Tensor> &images,
                         uint64_t seed, ThreadPool *pool) const
 {
-    return forwardBatch(images, seed, defaultOptions(), pool, nullptr);
+    return forwardBatch(images, seed, PredictOptions{}, pool, nullptr);
 }
 
 std::vector<size_t>

@@ -56,10 +56,9 @@ namespace core {
  * over the packed uint64_t words, SIMD-dispatched where available),
  * table-driven activation FSMs, reusable per-thread workspaces and
  * layers fanned out across the thread pool. A single image is a
- * micro-batch of one on the same path. The network advances in stream
- * segments of ScNetworkConfig::batch_stream_segment_words
- * (whole-stream by default) with FSM/pooling/select state carried
- * across segments.
+ * micro-batch of one on the same path. The network advances in one
+ * whole-stream segment, so each weight block streams once per forward
+ * pass and no cancellation signal is polled mid-stream.
  * Reference drives the same network structure through the bit-serial
  * oracle kernels (one bit per cycle, whole streams, one image at a
  * time) and the scalar Stanh/Btanh steppers — the single ground truth
@@ -120,12 +119,11 @@ struct ForwardInfo
 };
 
 /**
- * Per-call engine selection: predictWith() evaluates with these
- * instead of the instance-wide engineMode()/config knobs, so callers
- * that share one ScNetwork across threads (the serving layer) can mix
- * precision policies per request without mutating shared state —
- * setEngineMode() is not thread-safe against concurrent predict()
- * calls, PredictOptions is.
+ * Per-call engine selection, the only way to choose an engine: the
+ * network holds no mode state, so callers that share one ScNetwork
+ * across threads (the serving layer) mix precision policies per
+ * request. predict(), the seed-schedule forwardBatch() and
+ * errorRate() run PredictOptions{} (Fused, full precision).
  */
 struct PredictOptions
 {
@@ -136,11 +134,12 @@ struct PredictOptions
     /** Progressive floor on consumed stream cycles. */
     size_t progressive_min_bits = kDefaultProgressiveMinBits;
     /**
-     * Cooperative cancellation for predictWith(): polled at segment
-     * boundaries (no effect when the stream runs as one segment —
-     * Reference mode, and Fused under the default whole-stream
-     * batch_stream_segment_words). Batch calls take a per-image signal
-     * array instead — see forwardBatch. Must outlive the call.
+     * Cooperative cancellation for predictWith(): polled at
+     * Progressive's segment boundaries. Fused and Reference run the
+     * stream as one segment and Binary has none, so a request in
+     * those modes is never polled mid-stream. Batch calls take a
+     * per-image signal array instead — see forwardBatch. Must outlive
+     * the call.
      */
     const CancelSignal *cancel = nullptr;
 };
@@ -167,11 +166,11 @@ class ScNetwork
               uint64_t weight_seed = 0xC0FFEE);
 
     /**
-     * SC-domain forward pass + argmax for one image. When @p info is
+     * SC-domain forward pass + argmax for one image on the Fused
+     * engine (predictWith() with PredictOptions{}). When @p info is
      * non-null, the class scores and the effective stream length
-     * (== bitstream_len except under Progressive early exit) are
-     * reported there. Per-phase timing goes to the trace recorder's
-     * aggregate (obs/trace.h) while it is armed.
+     * (== bitstream_len) are reported there. Per-phase timing goes to
+     * the trace recorder's aggregate (obs/trace.h) while it is armed.
      */
     size_t predict(const nn::Tensor &image, uint64_t seed,
                    ForwardInfo *info = nullptr) const;
@@ -202,12 +201,12 @@ class ScNetwork
     }
 
     /**
-     * Batched forward pass: predictions for every image, fanned out
-     * across @p pool (the process-global pool when null). Image i runs
-     * at seed + i * 7919; every per-site generator is derived from
-     * position, not evaluation order, so the result is identical for
-     * any thread count — including 1 — and matches per-image predict()
-     * calls at the same seeds.
+     * Batched Fused forward pass: predictions for every image, fanned
+     * out across @p pool (the process-global pool when null). Image i
+     * runs at seed + i * 7919; every per-site generator is derived
+     * from position, not evaluation order, so the result is identical
+     * for any thread count — including 1 — and matches per-image
+     * predict() calls at the same seeds.
      */
     std::vector<size_t> forwardBatch(const std::vector<nn::Tensor> &images,
                                      uint64_t seed,
@@ -237,10 +236,11 @@ class ScNetwork
      *
      * @p cancels, when non-null, carries one CancelSignal per image
      * (null entries = not cancellable): image i's signal is polled at
-     * segment boundaries, and a cancelled image freezes in place and
-     * leaves the active set exactly like a Progressive early exit —
-     * its batch-mates' streams and results are untouched. opts.cancel
-     * is ignored here.
+     * Progressive's segment boundaries (Fused runs one whole-stream
+     * segment, so it polls none), and a cancelled image freezes in
+     * place and leaves the active set exactly like a Progressive early
+     * exit — its batch-mates' streams and results are untouched.
+     * opts.cancel is ignored here.
      *
      * Fused and Progressive batches of any size, one image included,
      * run the batch kernels. Reference runs the bit-serial oracle per
@@ -277,13 +277,6 @@ class ScNetwork
     double errorRate(const nn::Dataset &ds, size_t max_images,
                      uint64_t seed = 777, ThreadPool *pool = nullptr) const;
 
-    /** Select the fused fast path (default) or the bit-serial
-     *  reference oracle. Predictions are bit-exact across modes. */
-    void setEngineMode(EngineMode mode) { engine_ = mode; }
-
-    /** The kernel implementation currently selected. */
-    EngineMode engineMode() const { return engine_; }
-
     /** The configuration this instance implements. */
     const ScNetworkConfig &config() const { return cfg_; }
 
@@ -316,18 +309,6 @@ class ScNetwork
     const BinaryNetwork &binaryNet() const { return binary_; }
 
   private:
-    /** The per-call options the instance-wide knobs (engineMode(),
-     *  config()) translate to — what predict()/legacy forwardBatch
-     *  pass to predictWith. */
-    PredictOptions defaultOptions() const
-    {
-        PredictOptions opts;
-        opts.mode = engine_;
-        opts.progressive_margin = cfg_.progressive_margin;
-        opts.progressive_min_bits = cfg_.progressive_min_bits;
-        return opts;
-    }
-
     /** A (c, h, w) grid of bit-streams per image, packed site-major /
      *  image-minor so the batch kernels address image b of a site as
      *  the image-0 view plus b * strideWords() words. */
@@ -457,7 +438,6 @@ class ScNetwork
 
     ScNetworkConfig cfg_;
     nn::NetworkPlan plan_;
-    EngineMode engine_ = EngineMode::Fused;
     sc::Bitstream bias_line_; //!< the constant +1 stream
 
     /** Weight streams of the hidden stages in the filter-interleaved

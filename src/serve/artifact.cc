@@ -13,7 +13,7 @@ namespace serve {
 namespace {
 
 constexpr uint32_t kArtifactMagic = 0x53C4A27F;
-constexpr uint32_t kArtifactFormatVersion = 1;
+constexpr uint32_t kArtifactFormatVersion = 2;
 
 using Code = nn::LoadResult::Code;
 
@@ -128,12 +128,10 @@ encodeHeader(ByteWriter &w, const ModelArtifact &a)
     for (unsigned b : c.weight_bits)
         w.u32(b);
     w.u64(c.segment_len);
-    w.u8(static_cast<uint8_t>(c.k_policy));
     w.u64(c.input_c);
     w.u64(c.input_h);
     w.u64(c.input_w);
     w.u64(c.stream_segment_words);
-    w.u64(c.batch_stream_segment_words);
     w.f64(c.progressive_margin);
     w.u64(c.progressive_min_bits);
 
@@ -259,22 +257,15 @@ decodeHeader(ByteReader &r, ModelArtifact &a, uint32_t *n_tensors)
     if (c.segment_len == 0 || c.segment_len > c.bitstream_len)
         return badField(r, "segment length", c.bitstream_len,
                         c.segment_len);
-    if (!r.u8(&b))
-        return truncated("k policy");
-    if (b > 1)
-        return badField(r, "k policy", 1, b);
-    c.k_policy = static_cast<blocks::KPolicy>(b);
     if (!r.u64(&c.input_c) || !r.u64(&c.input_h) || !r.u64(&c.input_w))
         return truncated("config geometry");
     if (c.input_c != s.in_c || c.input_h != s.in_h ||
         c.input_w != s.in_w)
         return badField(r, "config/spec geometry disagree", s.in_h,
                         c.input_h);
-    if (!r.u64(&c.stream_segment_words) ||
-        !r.u64(&c.batch_stream_segment_words))
+    if (!r.u64(&c.stream_segment_words))
         return truncated("segment words");
-    if (c.stream_segment_words > kMaxStreamLen ||
-        c.batch_stream_segment_words > kMaxStreamLen)
+    if (c.stream_segment_words > kMaxStreamLen)
         return badField(r, "segment words", kMaxStreamLen,
                         c.stream_segment_words);
     if (!r.f64(&c.progressive_margin))

@@ -321,14 +321,11 @@ ModelRegistry::install(const std::string &id,
     };
     serving->server = std::make_unique<InferenceServer>(
         serving->engine, scfg, clock_);
-    if (cfg_.warm_on_install) {
-        const nn::Tensor zero(artifact.config.input_c,
-                              artifact.config.input_h,
-                              artifact.config.input_w);
-        core::PredictOptions popts;
-        popts.mode = core::EngineMode::Fused;
-        serving->engine.predictWith(zero, /*seed=*/1, popts);
-    }
+    // One warm-up inference on the fresh engine before it is swapped
+    // in, so the first real request never pays one-time costs.
+    const nn::Tensor zero(artifact.config.input_c, artifact.config.input_h,
+                          artifact.config.input_w);
+    serving->engine.predict(zero, /*seed=*/1);
 
     // Crash-between-load-and-swap fault: the new engine is abandoned
     // before the pointer swap, so the fleet observes exactly what a

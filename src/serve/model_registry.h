@@ -159,10 +159,10 @@ class CircuitBreaker
 struct RegistryConfig
 {
     /** Template for every per-model server (limits, workers, compute
-     *  pool, seeds, QoS sentinels — resolved per model against its
-     *  own network calibration). The registry owns fault injection
-     *  and outcome observation, so the template's faults/outcome_hook
-     *  are replaced per model. */
+     *  pool, QoS sentinels — resolved per model against its own
+     *  network calibration). The registry owns fault injection and
+     *  outcome observation, so the template's faults/outcome_hook are
+     *  replaced per model. */
     ServerConfig server_template;
 
     /** Injected time source (null: steady clock). Drives the breaker
@@ -175,11 +175,6 @@ struct RegistryConfig
     FaultInjector *faults = nullptr;
 
     BreakerConfig breaker;
-
-    /** Run one warmup inference on a freshly built engine before it
-     *  is swapped in, so the first real request never pays one-time
-     *  construction costs. */
-    bool warm_on_install = true;
 
     /** Postmortem hook (null: off): on a breaker trip, a failed
      *  hot-swap, or an artifact-load failure the registry dumps the

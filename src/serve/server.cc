@@ -14,6 +14,10 @@ namespace serve {
 
 namespace {
 
+/** Base of the id-derived per-request seed schedule (requests with
+ *  an explicit RequestOptions::seed bypass it). */
+constexpr uint64_t kBaseSeed = 0x5EED;
+
 double
 toMs(ClockSource::Duration d)
 {
@@ -114,7 +118,7 @@ InferenceServer::submitImpl(nn::Tensor image, RequestOptions opts,
     req.opts = opts;
     req.seed = opts.seed.has_value()
                    ? *opts.seed
-                   : cfg_.base_seed + req.id * 7919;
+                   : kBaseSeed + req.id * 7919;
     req.submitted = clock_->now();
     if (obs::armed())
         obs::TraceRecorder::instance().asyncBegin(

@@ -56,10 +56,6 @@ struct ServerConfig
      *  pool. A dedicated pool is drained at shutdown. */
     ThreadPool *compute_pool = nullptr;
 
-    /** Base of the id-derived per-request seed schedule (requests
-     *  with an explicit RequestOptions::seed bypass it). */
-    uint64_t base_seed = 0x5EED;
-
     /** Trace tag (obs::TraceRecorder::internTag) stamped on every
      *  event this server emits — the registry interns each model id
      *  so traces and flight-recorder dumps can be filtered per model.

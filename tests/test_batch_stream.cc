@@ -626,21 +626,21 @@ TEST(BatchEngine, BatchedMatchesReferenceForEveryFebKindAndSegmentSize)
         cfg.layer_adders = {c.adder, core::AdderKind::Apc,
                             core::AdderKind::Apc};
         cfg.bitstream_len = 200; // 4 words, 8-bit tail
+        const core::ScNetwork whole(net, cfg);
         const std::vector<core::ForwardInfo> ref =
-            referenceInfos(core::ScNetwork(net, cfg), images, 17);
-        // 1-word, a size that does not divide the stream, and
-        // whole-stream granularity, through both segment knobs: Fused
-        // advances in batch_stream_segment_words, Progressive (with a
-        // margin it never reaches) in stream_segment_words.
+            referenceInfos(whole, images, 17);
+        // Fused runs whole-stream; Progressive (with a margin it never
+        // reaches) advances in stream_segment_words segments: 1-word, a
+        // size that does not divide the stream, and whole-stream
+        // granularity (0 falls back to 4 words, all of a 200-bit
+        // stream).
+        expectBatchedMatchesReference(whole, images, 17,
+                                      core::PredictOptions{}, ref, "fused");
         for (size_t seg_words : {size_t{1}, size_t{3}, size_t{0}}) {
             cfg.stream_segment_words = seg_words;
-            cfg.batch_stream_segment_words = seg_words;
             core::ScNetwork sc(net, cfg);
             const std::string what =
                 "seg_words=" + std::to_string(seg_words);
-            core::PredictOptions fused;
-            expectBatchedMatchesReference(sc, images, 17, fused, ref,
-                                          "fused " + what);
             core::PredictOptions prog;
             prog.mode = core::EngineMode::Progressive;
             prog.progressive_margin = 1e9;
@@ -657,17 +657,25 @@ TEST(BatchEngine, RaggedBatchSizesMatchReference)
     cfg.pooling = nn::PoolingMode::Max;
     cfg.bitstream_len = 200;
     cfg.stream_segment_words = 3;
-    cfg.batch_stream_segment_words = 3;
     core::ScNetwork sc(net, cfg);
 
+    // Fused whole-stream, and Progressive (never exiting) in 3-word
+    // segments that do not divide the 4-word stream.
+    core::PredictOptions segmented;
+    segmented.mode = core::EngineMode::Progressive;
+    segmented.progressive_margin = 1e9;
     for (size_t batch : {size_t{1}, size_t{3}, size_t{8}}) {
         std::vector<nn::Tensor> images;
         for (size_t i = 0; i < batch; ++i)
             images.push_back(nn::DigitDataset::render(i % 10, 60 + i));
-        core::PredictOptions opts;
-        expectBatchedMatchesReference(sc, images, 31, opts,
-                                      referenceInfos(sc, images, 31),
-                                      "batch=" + std::to_string(batch));
+        const std::string what = "batch=" + std::to_string(batch);
+        const std::vector<core::ForwardInfo> ref =
+            referenceInfos(sc, images, 31);
+        expectBatchedMatchesReference(sc, images, 31,
+                                      core::PredictOptions{}, ref,
+                                      "fused " + what);
+        expectBatchedMatchesReference(sc, images, 31, segmented, ref,
+                                      "progressive " + what);
     }
 }
 
@@ -770,23 +778,33 @@ TEST(BatchEngine, BatchedPathIsThreadCountInvariant)
         cfg.layer_adders = {c.conv1, c.conv2, c.fc};
         cfg.bitstream_len = 200;
         cfg.stream_segment_words = 3;
-        cfg.batch_stream_segment_words = 3;
         core::ScNetwork sc(net, cfg);
         const std::vector<core::ForwardInfo> ref =
             referenceInfos(sc, images, 55);
 
-        core::PredictOptions opts;
-        for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
-            ThreadPool pool(width);
-            std::vector<core::ForwardInfo> infos;
-            sc.forwardBatch(images, 55, opts, &pool, &infos);
-            for (size_t i = 0; i < images.size(); ++i) {
-                EXPECT_EQ(infos[i].scores, ref[i].scores)
-                    << "pooling=" << static_cast<int>(c.pooling)
-                    << " width=" << width << " image=" << i;
-                EXPECT_EQ(infos[i].effective_bits, ref[i].effective_bits)
-                    << "pooling=" << static_cast<int>(c.pooling)
-                    << " width=" << width << " image=" << i;
+        // Fused whole-stream, and Progressive (never exiting) carrying
+        // state across 3-word segment boundaries.
+        core::PredictOptions segmented;
+        segmented.mode = core::EngineMode::Progressive;
+        segmented.progressive_margin = 1e9;
+        for (const core::PredictOptions &opts :
+             {core::PredictOptions{}, segmented}) {
+            for (size_t width :
+                 {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+                ThreadPool pool(width);
+                std::vector<core::ForwardInfo> infos;
+                sc.forwardBatch(images, 55, opts, &pool, &infos);
+                for (size_t i = 0; i < images.size(); ++i) {
+                    EXPECT_EQ(infos[i].scores, ref[i].scores)
+                        << "pooling=" << static_cast<int>(c.pooling)
+                        << " mode=" << static_cast<int>(opts.mode)
+                        << " width=" << width << " image=" << i;
+                    EXPECT_EQ(infos[i].effective_bits,
+                              ref[i].effective_bits)
+                        << "pooling=" << static_cast<int>(c.pooling)
+                        << " mode=" << static_cast<int>(opts.mode)
+                        << " width=" << width << " image=" << i;
+                }
             }
         }
     }

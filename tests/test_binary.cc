@@ -264,12 +264,13 @@ TEST(BinaryNetworkTest, EngineModeBinaryIsSeedInvariant)
     core::ScNetworkConfig cfg;
     cfg.bitstream_len = 128;
     core::ScNetwork sc(net, cfg);
-    sc.setEngineMode(core::EngineMode::Binary);
+    core::PredictOptions popts;
+    popts.mode = core::EngineMode::Binary;
 
     const nn::Tensor img = nn::DigitDataset::render(4, 9);
     core::ForwardInfo a, b;
-    EXPECT_EQ(sc.predict(img, 1, &a),
-              sc.predict(img, 0xDEAD, &b));
+    EXPECT_EQ(sc.predictWith(img, 1, popts, &a),
+              sc.predictWith(img, 0xDEAD, popts, &b));
     EXPECT_EQ(a.scores, b.scores);
     EXPECT_EQ(a.effective_bits, 1u);
     EXPECT_FALSE(a.early_exit);

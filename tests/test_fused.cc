@@ -360,14 +360,14 @@ TEST(EngineModes, FusedMatchesReferencePredictions)
         {nn::PoolingMode::Average, core::AdderKind::Apc},
         {nn::PoolingMode::Max, core::AdderKind::Apc},
     };
+    core::PredictOptions ref_opts;
+    ref_opts.mode = core::EngineMode::Reference;
     for (const auto &c : cases) {
         core::ScNetwork sc_net = makeMiniScNet(c.pooling, c.adder);
         for (uint64_t seed = 1; seed <= 3; ++seed) {
             nn::Tensor img = nn::DigitDataset::render(seed % 10, seed);
-            sc_net.setEngineMode(core::EngineMode::Fused);
             const size_t fused = sc_net.predict(img, seed);
-            sc_net.setEngineMode(core::EngineMode::Reference);
-            const size_t reference = sc_net.predict(img, seed);
+            const size_t reference = sc_net.predictWith(img, seed, ref_opts);
             EXPECT_EQ(fused, reference) << "seed=" << seed;
         }
     }

@@ -120,8 +120,59 @@ codeOf(std::future<serve::InferenceResult> fut)
 
 TEST(Artifact, RoundTripsEveryField)
 {
+    // Every config field off its default and no two numeric fields
+    // equal, so a field written in one slot and read back from another
+    // cannot round-trip by accident. The one-byte enum fields take only
+    // 0 or 1, so they differ from their defaults, not from each other.
+    nn::TopologySpec spec = miniSpec(5);
+    spec.in_c = 2;
+    spec.in_w = 14;
+    core::ScNetworkConfig cfg;
+    cfg.pooling = nn::PoolingMode::Average;
+    cfg.layer_adders = {core::AdderKind::Mux, core::AdderKind::Apc,
+                        core::AdderKind::Mux};
+    cfg.bitstream_len = 1000;
+    cfg.weight_bits = {5, 9, 11};
+    cfg.segment_len = 20;
+    cfg.input_c = 2;
+    cfg.input_h = 12;
+    cfg.input_w = 14;
+    cfg.stream_segment_words = 3;
+    cfg.progressive_margin = 2.5;
+    cfg.progressive_min_bits = 384;
+
+    const core::ScNetworkConfig dflt;
+    EXPECT_NE(cfg.pooling, dflt.pooling);
+    EXPECT_NE(cfg.layer_adders, dflt.layer_adders);
+    EXPECT_NE(cfg.bitstream_len, dflt.bitstream_len);
+    EXPECT_NE(cfg.weight_bits, dflt.weight_bits);
+    EXPECT_NE(cfg.segment_len, dflt.segment_len);
+    EXPECT_NE(cfg.input_c, dflt.input_c);
+    EXPECT_NE(cfg.input_h, dflt.input_h);
+    EXPECT_NE(cfg.input_w, dflt.input_w);
+    EXPECT_NE(cfg.stream_segment_words, dflt.stream_segment_words);
+    EXPECT_NE(cfg.progressive_margin, dflt.progressive_margin);
+    EXPECT_NE(cfg.progressive_min_bits, dflt.progressive_min_bits);
+    const std::vector<double> numeric = {
+        static_cast<double>(cfg.bitstream_len),
+        static_cast<double>(cfg.weight_bits[0]),
+        static_cast<double>(cfg.weight_bits[1]),
+        static_cast<double>(cfg.weight_bits[2]),
+        static_cast<double>(cfg.segment_len),
+        static_cast<double>(cfg.input_c),
+        static_cast<double>(cfg.input_h),
+        static_cast<double>(cfg.input_w),
+        static_cast<double>(cfg.stream_segment_words),
+        cfg.progressive_margin,
+        static_cast<double>(cfg.progressive_min_bits)};
+    for (size_t i = 0; i < numeric.size(); ++i)
+        for (size_t j = i + 1; j < numeric.size(); ++j)
+            EXPECT_NE(numeric[i], numeric[j]) << i << " vs " << j;
+
     const std::string path = tempPath("roundtrip");
-    const ModelArtifact a = miniArtifact("mini-a", 7, 5);
+    const ModelArtifact a =
+        serve::makeArtifact("mini-a", 7, spec, nn::PoolingMode::Max, cfg,
+                            nn::buildTopology(spec, nn::PoolingMode::Max));
     ASSERT_TRUE(serve::saveArtifact(a, path));
 
     ModelArtifact b;
@@ -129,13 +180,16 @@ TEST(Artifact, RoundTripsEveryField)
     ASSERT_TRUE(r) << r.message();
     EXPECT_EQ(b.name, "mini-a");
     EXPECT_EQ(b.version, 7u);
+    EXPECT_EQ(b.spec.in_c, a.spec.in_c);
     EXPECT_EQ(b.spec.in_h, a.spec.in_h);
+    EXPECT_EQ(b.spec.in_w, a.spec.in_w);
     EXPECT_EQ(b.spec.convs.size(), a.spec.convs.size());
     EXPECT_EQ(b.spec.fc_hidden, a.spec.fc_hidden);
     EXPECT_EQ(b.spec.n_classes, a.spec.n_classes);
     EXPECT_EQ(b.spec.seed, a.spec.seed);
     EXPECT_EQ(b.pooling, a.pooling);
     EXPECT_TRUE(b.config == a.config); // field-wise operator==
+    EXPECT_TRUE(b.config == cfg);
     ASSERT_EQ(b.tensors.size(), a.tensors.size());
     for (size_t i = 0; i < a.tensors.size(); ++i)
         EXPECT_EQ(b.tensors[i], a.tensors[i]) << "tensor " << i;
@@ -146,12 +200,43 @@ TEST(Artifact, RoundTripsEveryField)
         nn::buildTopology(a.spec, a.pooling); // same seed => same net
     nn::Network dst;
     ASSERT_TRUE(serve::instantiate(b, &dst));
-    const nn::Tensor img = image(3);
+    nn::Tensor img(spec.in_c, spec.in_h, spec.in_w);
+    for (size_t i = 0; i < img.size(); ++i)
+        img[i] = static_cast<float>(i % 17) / 16.0f;
     nn::Tensor out_src = src.forward(img);
     nn::Tensor out_dst = dst.forward(img);
     ASSERT_EQ(out_src.size(), out_dst.size());
     for (size_t i = 0; i < out_src.size(); ++i)
         EXPECT_EQ(out_src[i], out_dst[i]);
+    std::remove(path.c_str());
+}
+
+TEST(Artifact, OlderFormatVersionIsRejectedNamingBothVersions)
+{
+    const std::string path = tempPath("oldversion");
+    ASSERT_TRUE(serve::saveArtifact(miniArtifact("old", 1, 9), path));
+
+    // The format word follows the 4-byte magic; rewrite it to 1, a
+    // header layout this loader does not read.
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    uint32_t fmt = 0;
+    ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
+    ASSERT_EQ(std::fread(&fmt, sizeof fmt, 1, f), 1u);
+    EXPECT_EQ(fmt, 2u);
+    const uint32_t old_fmt = 1;
+    ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&old_fmt, sizeof old_fmt, 1, f), 1u);
+    std::fclose(f);
+
+    ModelArtifact out;
+    const nn::LoadResult r = serve::loadArtifact(path, &out);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.code, nn::LoadResult::Code::BadVersion);
+    const std::string msg = r.message();
+    EXPECT_NE(msg.find("bad_version"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("expected 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("actual 1"), std::string::npos) << msg;
     std::remove(path.c_str());
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
  * Segment-streaming equivalence of the network engine: the fused
- * engine advanced in word segments (any size, including ones that do
- * not divide the stream) must be bit-identical — predictions AND
- * output-layer scores — to whole-stream execution and to the
- * bit-serial Reference oracle, for every feature-extraction-block
- * kind. Plus Progressive-mode semantics: no-exit degenerates to
- * Fused, early exit reports the bits consumed, and on a trained
- * network the accuracy cost of a moderate margin stays small.
+ * kernels advanced in word segments (any size, including ones that do
+ * not divide the stream — Progressive at a margin it never reaches)
+ * must be bit-identical — predictions AND output-layer scores — to
+ * whole-stream Fused execution and to the bit-serial Reference
+ * oracle, for every feature-extraction-block kind. Plus
+ * Progressive-mode semantics: no-exit degenerates to Fused, early
+ * exit reports the bits consumed, and on a trained network the
+ * accuracy cost of a moderate margin stays small.
  */
 
 #include <vector>
@@ -19,6 +20,29 @@
 
 namespace scdcnn {
 namespace {
+
+/** Progressive at a margin it never reaches: the whole stream runs on
+ *  the Fused kernels in ScNetworkConfig::stream_segment_words
+ *  segments, carrying state across every boundary. */
+core::PredictOptions
+segmentedNoExit()
+{
+    core::PredictOptions opts;
+    opts.mode = core::EngineMode::Progressive;
+    opts.progressive_margin = 1e9;
+    return opts;
+}
+
+/** Progressive at the config's own margin and exit floor. */
+core::PredictOptions
+progressiveOf(const core::ScNetworkConfig &cfg)
+{
+    core::PredictOptions opts;
+    opts.mode = core::EngineMode::Progressive;
+    opts.progressive_margin = cfg.progressive_margin;
+    opts.progressive_min_bits = cfg.progressive_min_bits;
+    return opts;
+}
 
 TEST(SegmentStreaming, AnySegmentSizeIsBitExactAcrossModes)
 {
@@ -42,8 +66,7 @@ TEST(SegmentStreaming, AnySegmentSizeIsBitExactAcrossModes)
                             core::AdderKind::Apc};
         cfg.bitstream_len = 200; // 4 words, 8-bit tail
 
-        // Whole-stream fused run (segment streaming off).
-        cfg.batch_stream_segment_words = 0;
+        // Whole-stream Fused run.
         core::ForwardInfo whole;
         size_t whole_pred;
         {
@@ -52,25 +75,27 @@ TEST(SegmentStreaming, AnySegmentSizeIsBitExactAcrossModes)
             EXPECT_EQ(whole.effective_bits, 200u);
             EXPECT_FALSE(whole.early_exit);
 
-            // The bit-serial oracle agrees (mode switch, same instance).
-            sc.setEngineMode(core::EngineMode::Reference);
+            // The bit-serial oracle agrees (same instance).
+            core::PredictOptions ref_opts;
+            ref_opts.mode = core::EngineMode::Reference;
             core::ForwardInfo ref;
-            EXPECT_EQ(sc.predict(img, 5, &ref), whole_pred);
+            EXPECT_EQ(sc.predictWith(img, 5, ref_opts, &ref), whole_pred);
             EXPECT_EQ(ref.scores, whole.scores);
         }
 
-        // Segment sizes dividing and not dividing the 4-word stream
-        // (batch_stream_segment_words is the Fused segment knob).
+        // Segment sizes dividing and not dividing the 4-word stream.
         for (size_t seg_words : {size_t{1}, size_t{2}, size_t{3},
                                  size_t{4}, size_t{7}}) {
-            cfg.batch_stream_segment_words = seg_words;
+            cfg.stream_segment_words = seg_words;
             core::ScNetwork sc(net, cfg);
             core::ForwardInfo info;
-            EXPECT_EQ(sc.predict(img, 5, &info), whole_pred)
+            EXPECT_EQ(sc.predictWith(img, 5, segmentedNoExit(), &info),
+                      whole_pred)
                 << "seg_words=" << seg_words;
             EXPECT_EQ(info.scores, whole.scores)
                 << "seg_words=" << seg_words;
             EXPECT_EQ(info.effective_bits, 200u);
+            EXPECT_FALSE(info.early_exit);
         }
     }
 }
@@ -78,25 +103,25 @@ TEST(SegmentStreaming, AnySegmentSizeIsBitExactAcrossModes)
 TEST(SegmentStreaming, RandomizedSeedsStayBitExact)
 {
     // A denser randomized sweep on the APC-max configuration (the
-    // production path): several seeds and images, chunked vs whole.
-    // Fused at a segment size that does not divide the 4-word stream,
-    // against the bit-serial Reference oracle (always whole-stream),
-    // across several seeds and images.
+    // production path): the fused kernels at a segment size that does
+    // not divide the 4-word stream, against the bit-serial Reference
+    // oracle (always whole-stream), across several seeds and images.
     nn::Network net = nn::buildMiniLeNet(nn::PoolingMode::Max, 23);
     core::ScNetworkConfig cfg;
     cfg.pooling = nn::PoolingMode::Max;
     cfg.bitstream_len = 200;
-    cfg.batch_stream_segment_words = 3;
-    core::ScNetwork fused_net(net, cfg);
-    core::ScNetwork ref_net(net, cfg);
-    ref_net.setEngineMode(core::EngineMode::Reference);
+    cfg.stream_segment_words = 3;
+    core::ScNetwork sc(net, cfg);
+    core::PredictOptions ref_opts;
+    ref_opts.mode = core::EngineMode::Reference;
     for (uint64_t seed = 1; seed <= 6; ++seed) {
         nn::Tensor img = nn::DigitDataset::render(seed % 10, 30 + seed);
         core::ForwardInfo a, b;
-        const size_t pa = fused_net.predict(img, seed, &a);
-        const size_t pb = ref_net.predict(img, seed, &b);
+        const size_t pa = sc.predictWith(img, seed, segmentedNoExit(), &a);
+        const size_t pb = sc.predictWith(img, seed, ref_opts, &b);
         EXPECT_EQ(pa, pb) << "seed=" << seed;
         EXPECT_EQ(a.scores, b.scores) << "seed=" << seed;
+        EXPECT_EQ(a.effective_bits, b.effective_bits) << "seed=" << seed;
     }
 }
 
@@ -109,15 +134,16 @@ TEST(Progressive, NoExitDegeneratesToFusedAndIsOffByDefault)
     cfg.stream_segment_words = 1;
     cfg.progressive_margin = 1e9; // never confident enough
     core::ScNetwork sc(net, cfg);
-    EXPECT_EQ(sc.engineMode(), core::EngineMode::Fused); // off by default
+    EXPECT_EQ(core::PredictOptions{}.mode,
+              core::EngineMode::Fused); // off by default
 
     nn::Tensor img = nn::DigitDataset::render(2, 3);
     core::ForwardInfo fused;
     const size_t fused_pred = sc.predict(img, 7, &fused);
 
-    sc.setEngineMode(core::EngineMode::Progressive);
     core::ForwardInfo prog;
-    EXPECT_EQ(sc.predict(img, 7, &prog), fused_pred);
+    EXPECT_EQ(sc.predictWith(img, 7, progressiveOf(cfg), &prog),
+              fused_pred);
     EXPECT_EQ(prog.scores, fused.scores);
     EXPECT_EQ(prog.effective_bits, 256u);
     EXPECT_FALSE(prog.early_exit);
@@ -133,9 +159,9 @@ TEST(Progressive, ZeroMarginExitsAtTheFloor)
     cfg.progressive_margin = 0.0;
     cfg.progressive_min_bits = 128;
     core::ScNetwork sc(net, cfg);
-    sc.setEngineMode(core::EngineMode::Progressive);
     core::ForwardInfo info;
-    const size_t pred = sc.predict(nn::DigitDataset::render(5, 8), 11, &info);
+    const size_t pred = sc.predictWith(nn::DigitDataset::render(5, 8), 11,
+                                       progressiveOf(cfg), &info);
     EXPECT_LT(pred, 10u);
     EXPECT_TRUE(info.early_exit);
     EXPECT_EQ(info.effective_bits, 128u); // first check at the floor
@@ -155,9 +181,9 @@ TEST(Progressive, WholeStreamConfigFallsBackToSegmentedCheckpoints)
     cfg.progressive_margin = 0.0;
     cfg.progressive_min_bits = 256;
     core::ScNetwork sc(net, cfg);
-    sc.setEngineMode(core::EngineMode::Progressive);
     core::ForwardInfo info;
-    sc.predict(nn::DigitDataset::render(1, 2), 13, &info);
+    sc.predictWith(nn::DigitDataset::render(1, 2), 13, progressiveOf(cfg),
+                   &info);
     EXPECT_TRUE(info.early_exit);
     EXPECT_EQ(info.effective_bits, 256u);
 }
@@ -189,10 +215,10 @@ TEST(Progressive, TrainedNetworkTradesFewBitsForLittleAccuracy)
         wrong_full += sc.predict(img, 777 + i * 7919) !=
                       test.samples[i].label;
     }
-    sc.setEngineMode(core::EngineMode::Progressive);
+    const core::PredictOptions prog = progressiveOf(cfg);
     for (size_t i = 0; i < test.size(); ++i) {
         const nn::Tensor &img = test.samples[i].image;
-        wrong_prog += sc.predict(img, 777 + i * 7919, &info) !=
+        wrong_prog += sc.predictWith(img, 777 + i * 7919, prog, &info) !=
                       test.samples[i].label;
         bits += info.effective_bits;
     }

@@ -130,32 +130,30 @@ TEST(TopologyFuzz, FusedMatchesReferenceAtEverySegmentSize)
         const uint64_t seed = 9000 + c;
 
         core::ScNetworkConfig cfg = t.cfg;
-        core::ScNetwork ref_net(net, cfg);
-        ref_net.setEngineMode(core::EngineMode::Reference);
+        core::ScNetwork whole(net, cfg);
+        core::PredictOptions ref_opts;
+        ref_opts.mode = core::EngineMode::Reference;
         core::ForwardInfo ref;
-        const size_t ref_pred = ref_net.predict(img, seed, &ref);
+        const size_t ref_pred = whole.predictWith(img, seed, ref_opts, &ref);
         ASSERT_LT(ref_pred, t.spec.n_classes) << "case=" << c;
+
+        // Fused runs the whole stream as one segment.
+        core::ForwardInfo info;
+        EXPECT_EQ(whole.predict(img, seed, &info), ref_pred) << "case=" << c;
+        EXPECT_EQ(info.scores, ref.scores) << "case=" << c;
+        EXPECT_EQ(info.effective_bits, cfg.bitstream_len) << "case=" << c;
 
         // 1-word, 3-word (does not divide 128/192-bit streams evenly
         // against the 4-word default) and whole-stream granularity, on
-        // the Fused segment knob and on Progressive's (with a margin
-        // it never reaches, so the whole stream runs).
+        // Progressive's segment knob (with a margin it never reaches,
+        // so the whole stream runs).
         for (size_t seg_words : {size_t{1}, size_t{3}, size_t{0}}) {
-            cfg.batch_stream_segment_words = seg_words;
             cfg.stream_segment_words = seg_words;
-            core::ScNetwork fused(net, cfg);
-            core::ForwardInfo info;
-            EXPECT_EQ(fused.predict(img, seed, &info), ref_pred)
-                << "case=" << c << " seg_words=" << seg_words;
-            EXPECT_EQ(info.scores, ref.scores)
-                << "case=" << c << " seg_words=" << seg_words;
-            EXPECT_EQ(info.effective_bits, cfg.bitstream_len)
-                << "case=" << c << " seg_words=" << seg_words;
-
+            core::ScNetwork segmented(net, cfg);
             core::PredictOptions prog;
             prog.mode = core::EngineMode::Progressive;
             prog.progressive_margin = 1e9;
-            EXPECT_EQ(fused.predictWith(img, seed, prog, &info), ref_pred)
+            EXPECT_EQ(segmented.predictWith(img, seed, prog, &info), ref_pred)
                 << "case=" << c << " seg_words=" << seg_words;
             EXPECT_EQ(info.scores, ref.scores)
                 << "case=" << c << " seg_words=" << seg_words;
@@ -215,8 +213,9 @@ TEST(TopologyFuzz, BatchedPathMatchesReferenceOnEveryRandomTopology)
     // bit-serial Reference oracle on *every* topology the grammar
     // admits, not just LeNet shapes — conv-free MLPs, MUX layers,
     // average pooling and odd stream lengths all route through the
-    // same batch driver — at every batch segment granularity:
-    // whole-stream, single-word and grid-misaligned carries.
+    // same batch driver — at every segment granularity: Fused
+    // whole-stream, and Progressive (never exiting) at single-word and
+    // grid-misaligned carries.
     ThreadPool one(1);
     for (uint64_t c = 0; c < kCases; ++c) {
         FuzzTopology t = randomTopology(c);
@@ -233,13 +232,17 @@ TEST(TopologyFuzz, BatchedPathMatchesReferenceOnEveryRandomTopology)
         const auto r = core::ScNetwork(net, cfg).forwardBatch(
             images, 9000 + c, ref_opts, &one, &ref);
 
+        core::PredictOptions prog;
+        prog.mode = core::EngineMode::Progressive;
+        prog.progressive_margin = 1e9;
+        // seg_words 0 stands for the Fused whole-stream run.
         for (size_t seg_words : {size_t{0}, size_t{1}, size_t{3}}) {
-            cfg.batch_stream_segment_words = seg_words;
+            cfg.stream_segment_words = seg_words;
             core::ScNetwork sc(net, cfg);
             std::vector<core::ForwardInfo> bi;
-            const auto b =
-                sc.forwardBatch(images, 9000 + c, core::PredictOptions{},
-                                &one, &bi);
+            const auto b = sc.forwardBatch(
+                images, 9000 + c,
+                seg_words == 0 ? core::PredictOptions{} : prog, &one, &bi);
             ASSERT_EQ(b, r) << "case=" << c << " seg_words=" << seg_words;
             ASSERT_EQ(bi.size(), ref.size()) << "case=" << c;
             for (size_t i = 0; i < bi.size(); ++i) {
