@@ -1,7 +1,8 @@
 /**
  * @file
  * Host-side throughput microbenchmarks of the SC simulator primitives
- * (google-benchmark): stream generation, gate ops, counting, FSMs,
+ * (google-benchmark): stream generation (per stream, and the engine
+ * build's weight programming in SNG streams/s), gate ops, counting, FSMs,
  * the engine's APC tile kernels and its max-pooling kernel over count
  * planes.
  */
@@ -41,6 +42,48 @@ BENCHMARK_CAPTURE(BM_SngBipolar, x0.3, 0.3)->Arg(256)->Arg(1024)->Arg(4096);
 // x = 0 (p = 0.5) is what zero pixels and near-zero trained weights
 // encode at: every stream bit is a coin flip.
 BENCHMARK_CAPTURE(BM_SngBipolar, x0, 0.0)->Arg(256)->Arg(1024)->Arg(4096);
+
+/**
+ * Weight programming as the engine build does it: 1024 streams of
+ * L = 1024 drawn by sngLanes, eight per call, into a plain arena from
+ * seeds by index and thresholds spread over the range. @p lanes runs
+ * the eight-lane generator on the host's SIMD tier, else the scalar
+ * tier's per-stream loop (sngUnipolar's arithmetic); the label names
+ * the tier. Items are streams, so items/s is SNG streams/s.
+ */
+void
+BM_SngStreams(benchmark::State &state, bool lanes)
+{
+    constexpr size_t kLen = 1024;
+    constexpr size_t kStreams = 1024;
+    constexpr size_t kWords = kLen / 64;
+    const SngBank bank(11);
+    std::vector<uint64_t> out(kStreams * kWords);
+    const bool was_enabled = simd::enabled();
+    simd::setEnabled(lanes);
+    for (auto _ : state) {
+        for (size_t j = 0; j < kStreams; j += kSngLanes) {
+            uint64_t seeds[kSngLanes];
+            uint32_t thresholds[kSngLanes];
+            for (size_t i = 0; i < kSngLanes; ++i) {
+                seeds[i] = bank.seedAt(j + i);
+                thresholds[i] = static_cast<uint32_t>((j + i) * 61 % 65537);
+            }
+            sngLanes(seeds, thresholds, kSngLanes, kLen,
+                     out.data() + j * kWords, 1, kWords);
+        }
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(kStreams));
+    state.SetLabel(!simd::enabled()        ? "scalar"
+                   : simd::avx512Enabled() ? "8 lanes avx512"
+                                           : "8 lanes avx2");
+    simd::setEnabled(was_enabled);
+}
+BENCHMARK_CAPTURE(BM_SngStreams, scalar, false);
+BENCHMARK_CAPTURE(BM_SngStreams, lanes8, true);
 
 void
 BM_SngBipolarLfsr(benchmark::State &state)

@@ -364,7 +364,7 @@ selectorWalk(const uint16_t *sums, size_t sums_stride, size_t n_inputs,
     }
     state.selected = sel;
     if constexpr (kInputs != 0)
-        std::copy(fixed, fixed + kInputs, state.counters.begin());
+        std::copy(fixed, fixed + kInputs, state.counters.data());
 }
 
 } // namespace

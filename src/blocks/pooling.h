@@ -15,6 +15,7 @@
 #ifndef SCDCNN_BLOCKS_POOLING_H
 #define SCDCNN_BLOCKS_POOLING_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -59,7 +60,40 @@ maxPoolStreamsReference(const std::vector<sc::BitstreamView> &inputs,
  */
 struct MaxPoolCarryState
 {
-    std::vector<uint64_t> counters;
+    /**
+     * The per-input counters: up to kInline of them (a 2x2 window,
+     * the engine's) held inline, so a grid of states is one flat
+     * allocation; wider n-input selectors keep theirs on the heap.
+     */
+    class Counters
+    {
+      public:
+        static constexpr size_t kInline = 4;
+
+        /** @p n counters, each @p value. */
+        void assign(size_t n, uint64_t value)
+        {
+            n_ = n;
+            spill_.assign(n > kInline ? n : 0, value);
+            std::fill(data(), data() + n, value);
+        }
+
+        size_t size() const { return n_; }
+        uint64_t *data() { return n_ <= kInline ? inline_ : spill_.data(); }
+        const uint64_t *data() const
+        {
+            return n_ <= kInline ? inline_ : spill_.data();
+        }
+        uint64_t &operator[](size_t k) { return data()[k]; }
+        uint64_t operator[](size_t k) const { return data()[k]; }
+
+      private:
+        size_t n_ = 0;
+        uint64_t inline_[kInline] = {};
+        std::vector<uint64_t> spill_;
+    };
+
+    Counters counters;
     size_t selected = 0;
 
     /** Zero the counters and select @p first_choice for the first

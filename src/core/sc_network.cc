@@ -141,6 +141,31 @@ blockViews(const sc::InterleavedWeightArena &w)
 }
 
 /**
+ * Program @p n streams of @p len bits in place, kSngLanes at a time:
+ * stream j is @p bank's stream first + j at comparator threshold
+ * threshold(j), and its word w lands at
+ * out[w * word_stride + j * lane_stride].
+ */
+template <class Threshold>
+void
+programStreams(const sc::SngBank &bank, uint64_t first, size_t n,
+               size_t len, uint64_t *out, size_t word_stride,
+               size_t lane_stride, const Threshold &threshold)
+{
+    for (size_t j0 = 0; j0 < n; j0 += sc::kSngLanes) {
+        const size_t lanes = std::min(sc::kSngLanes, n - j0);
+        uint64_t seeds[sc::kSngLanes];
+        uint32_t thresholds[sc::kSngLanes];
+        for (size_t i = 0; i < lanes; ++i) {
+            seeds[i] = bank.seedAt(first + j0 + i);
+            thresholds[i] = threshold(j0 + i);
+        }
+        sc::sngLanes(seeds, thresholds, lanes, len,
+                     out + j0 * lane_stride, word_stride, lane_stride);
+    }
+}
+
+/**
  * Bipolar-sum class scores of image @p b from the output layer's
  * accumulators (laid out [class][image] over @p n_images images) after
  * @p consumed cycles of an output stage with @p fan_in lines; returns
@@ -275,41 +300,67 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
     // layer's popcount-total kernel reads whole streams, so it keeps
     // the plain one. Every layer keeps its weights filter-major with
     // the taps in (c_in, ky, kx) order (an fc layer's input order is
-    // the flattened grid of the same order), and its streams are drawn
-    // filter by filter, taps in that order, bias last.
-    auto encode = [&](nn::Layer &layer, size_t fan_in, double in_gain,
-                      auto &&store) {
+    // the flattened grid of the same order), and its streams are the
+    // bank's in that order, filter by filter, bias last: stream (o, t)
+    // of a layer whose first stream is `first` is bank stream
+    // first + o * taps + t. Bank streams are seeded by index, so the
+    // layers are programmed in parallel — a hidden stage by filter
+    // block, each worker writing whole blocks in place, the output
+    // layer by class — and match the serial draw bit for bit.
+
+    // Comparator thresholds of a layer programmed at in_gain, by
+    // (filter or neuron o, tap t).
+    const auto thresholdsOf = [](nn::Layer &layer, size_t fan_in,
+                                 double in_gain) {
         const std::vector<float> &w = *layer.weights();
         const std::vector<float> &bias = *layer.biases();
-        for (size_t o = 0; o < bias.size(); ++o) {
-            for (size_t t = 0; t < fan_in; ++t)
-                store(o, t,
-                      bank.bipolar(w[o * fan_in + t] / in_gain, len));
-            store(o, fan_in, bank.bipolar(bias[o], len));
-        }
+        return [&w, &bias, fan_in, in_gain](size_t o, size_t t) {
+            return sc::bipolarThreshold(
+                t < fan_in ? w[o * fan_in + t] / in_gain
+                           : static_cast<double>(bias[o]));
+        };
     };
 
-    // Encode the hidden stages in plan order, each consuming the
+    // Program the hidden stages in plan order, each consuming the
     // previous stage's realized gain, then the binary output layer.
+    uint64_t first = 0;
     double in_gain = 1.0;
     weights_.resize(n_stages);
     for (size_t l = 0; l < n_stages; ++l) {
         const nn::PlanStage &st = plan_.stages[l];
+        const auto threshold =
+            thresholdsOf(net.layer(st.layer_index), st.fan_in, in_gain);
+        const size_t taps = st.fan_in + 1;
         sc::InterleavedWeightArena &w = weights_[l];
-        w.reset(st.out_c, st.fan_in + 1, len);
-        encode(net.layer(st.layer_index), st.fan_in, in_gain,
-               [&](size_t o, size_t t, const sc::Bitstream &s) {
-                   w.assign(o, t, s);
-               });
+        w.reshape(st.out_c, taps, len);
+        // Filter lane f's (word, tap) words sit kFilterLanes apart in
+        // a tap row and taps * kFilterLanes apart across words; padding
+        // lanes stay zero.
+        parallelFor(0, w.groups(), [&](size_t g) {
+            w.clearBlock(g);
+            for (size_t f = 0; f < w.lanesInGroup(g); ++f) {
+                const size_t o = g * sc::kFilterLanes + f;
+                programStreams(bank, first + o * taps, taps, len,
+                               w.blockWords(g) + f, taps * sc::kFilterLanes,
+                               sc::kFilterLanes,
+                               [&](size_t t) { return threshold(o, t); });
+            }
+        });
+        first += st.out_c * taps;
         in_gain = layer_gain_[l];
     }
     out_.n_in = plan_.output.fan_in;
     out_.n_out = plan_.output.out_c;
-    out_.arena.reset(out_.n_out * (out_.n_in + 1), len);
-    encode(net.layer(plan_.output.layer_index), out_.n_in, in_gain,
-           [&](size_t o, size_t i, const sc::Bitstream &s) {
-               out_.arena.assign(o * (out_.n_in + 1) + i, s);
-           });
+    const size_t out_taps = out_.n_in + 1;
+    const auto out_threshold = thresholdsOf(
+        net.layer(plan_.output.layer_index), out_.n_in, in_gain);
+    out_.arena.reset(out_.n_out * out_taps, len);
+    parallelFor(0, out_.n_out, [&](size_t o) {
+        programStreams(bank, first + o * out_taps, out_taps, len,
+                       out_.arena.wordsAt(o * out_taps), 1,
+                       out_.arena.strideWords(),
+                       [&](size_t t) { return out_threshold(o, t); });
+    });
 }
 
 ScNetwork::StreamGrid
@@ -332,13 +383,16 @@ ScNetwork::encodeImages(std::span<const nn::Tensor> images,
                       plan_.in_c, plan_.in_h, plan_.in_w,
                       image.channels(), image.height(), image.width());
         const Clock::time_point t0 = Clock::now();
-        sc::SngBank bank(seeds[b]);
         // Pixel values in [0,1] already lie inside the bipolar range;
         // they are encoded at face value so the SC network computes
-        // the same function the float network was trained on.
-        for (size_t i = 0; i < image.size(); ++i)
-            grid.arena.assign(i, b,
-                              bank.bipolar(image[i], cfg_.bitstream_len));
+        // the same function the float network was trained on. Pixel i
+        // is stream i of the image's bank.
+        programStreams(sc::SngBank(seeds[b]), 0, image.size(),
+                       cfg_.bitstream_len, grid.arena.wordsAt(0, b), 1,
+                       grid.arena.images() * grid.arena.strideWords(),
+                       [&](size_t i) {
+                           return sc::bipolarThreshold(image[i]);
+                       });
         if (obs::armed()) {
             const uint64_t dur = nsSince(t0);
             obs::TraceRecorder &rec = obs::TraceRecorder::instance();
@@ -459,14 +513,18 @@ ScNetwork::runStageSegment(const StreamGrid &in, size_t layer_idx,
     const size_t plane_lane_stride = seg_words * (plane_cap + 1);
 
     const auto body = [&](size_t lo, size_t hi) {
-        // Scratch holds `slots` run lanes per window: one image of the
-        // longest run this chunk can hold, or kFilterLanes lanes per
-        // active image when that is more (the scratch of one block
+        // Scratch holds `slots` run lanes per window: two images of
+        // the longest run this chunk can hold (one when only one image
+        // is active), so even a run of every block of a layer folds
+        // image pairs — the AVX-512 pair fold — or kFilterLanes lanes
+        // per active image when that is more (the scratch of one block
         // over the whole batch). Short runs (few filters) then pool
         // and activate several images per pass, which keeps the
         // interleaved FSM passes wide.
         const size_t slots =
-            std::max(std::min(hi - lo, n_groups), n_active) *
+            std::max(std::min(hi - lo, n_groups) *
+                         std::min<size_t>(n_active, 2),
+                     n_active) *
             sc::kFilterLanes;
         sc::BatchFusedWorkspace wsp;
         for (size_t window = 0; window < windows; ++window)
@@ -509,7 +567,11 @@ ScNetwork::runStageSegment(const StreamGrid &in, size_t layer_idx,
             const std::span<const sc::WeightBlockView> run_blocks(
                 views.data() + g0, g1 - g0);
             const size_t run_lanes = run_blocks.size() * sc::kFilterLanes;
-            const size_t group = std::min(slots / run_lanes, n_active);
+            // An odd group above two rounds down to even: its odd image
+            // would fold alone, at half the pair fold's width.
+            size_t group = std::min(slots / run_lanes, n_active);
+            if (group > 2 && group % 2 == 1)
+                --group;
             const size_t oy = q / out_w;
             const size_t ox = q % out_w;
 

@@ -16,6 +16,9 @@ wordsFor(size_t length)
     return (length + 63) / 64;
 }
 
+/** 64-bit words per 64-byte cache line. */
+constexpr size_t kLineWords = 64 / sizeof(uint64_t);
+
 } // namespace
 
 Bitstream::Bitstream(size_t length)
@@ -292,13 +295,33 @@ BatchStreamArena::assign(size_t i, size_t b, const Bitstream &s)
 void
 InterleavedWeightArena::reset(size_t filters, size_t taps, size_t length)
 {
+    reshape(filters, taps, length);
+    std::fill(words_.begin(), words_.end(), 0);
+}
+
+void
+InterleavedWeightArena::reshape(size_t filters, size_t taps, size_t length)
+{
     filters_ = filters;
     taps_ = taps;
     length_ = length;
     stream_words_ = wordsFor(length);
-    group_words_ = stream_words_ * taps_ * kFilterLanes;
+    group_words_ = (stream_words_ * taps_ * kFilterLanes + kLineWords - 1) /
+                   kLineWords * kLineWords;
     groups_ = (filters + kFilterLanes - 1) / kFilterLanes;
-    words_.assign(groups_ * group_words_, 0);
+    // Plain allocation, aligned by a lead of up to kLineWords - 1
+    // words: an aligned allocation asks the heap for more than the
+    // block it returns, so a freed arena's hole would not fit the next
+    // engine's arena of the same size and the heap would grow.
+    words_.resize(groups_ * group_words_ + kLineWords - 1);
+    const auto addr = reinterpret_cast<uintptr_t>(words_.data());
+    lead_ = (kLineWords - addr / sizeof(uint64_t) % kLineWords) % kLineWords;
+}
+
+void
+InterleavedWeightArena::clearBlock(size_t g)
+{
+    std::fill_n(blockWords(g), group_words_, 0);
 }
 
 size_t
@@ -313,11 +336,19 @@ WeightBlockView
 InterleavedWeightArena::block(size_t g) const
 {
     WeightBlockView v;
-    v.words = words_.data() + g * group_words_;
+    v.words = words_.data() + lead_ + g * group_words_;
     v.lanes = lanesInGroup(g);
     v.taps = taps_;
     v.length = length_;
     return v;
+}
+
+uint64_t *
+InterleavedWeightArena::blockWords(size_t g)
+{
+    SCDCNN_ASSERT(g < groups_, "filter block %zu out of range %zu", g,
+                  groups_);
+    return words_.data() + lead_ + g * group_words_;
 }
 
 void
@@ -331,7 +362,7 @@ InterleavedWeightArena::assign(size_t filter, size_t tap, BitstreamView s)
                   s.length, length_);
     const size_t g = filter / kFilterLanes;
     const size_t lane = filter % kFilterLanes;
-    uint64_t *base = words_.data() + g * group_words_;
+    uint64_t *base = words_.data() + lead_ + g * group_words_;
     for (size_t w = 0; w < stream_words_; ++w)
         base[(w * taps_ + tap) * kFilterLanes + lane] = s.words[w];
 }

@@ -20,6 +20,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -271,6 +273,19 @@ class BatchStreamArena
     std::vector<uint64_t> words_;
 };
 
+/** std::allocator whose containers default-initialize new elements:
+ *  growing one leaves the new words unset, so they are first touched
+ *  where they are cleared. */
+template <class T>
+struct UninitializedAllocator : std::allocator<T>
+{
+    template <class U>
+    void construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+};
+
 /** Filters per interleave block: one 64-bit lane per filter in a
  *  256-bit AVX2 vector, so a filter block's weight words load with one
  *  unaligned vector load. */
@@ -320,8 +335,11 @@ struct WeightBlockView
  * words are laid out as WeightBlockView describes. Streams are
  * assigned from their packed (Bitstream / StreamArena) form, so the
  * interleaved copy is bit-identical to the plain layout — the
- * round-trip the layout tests pin down. Tail-zero and cycle-order
- * invariants carry over per lane.
+ * round-trip the layout tests pin down — or written into a block in
+ * place through blockWords(). Tail-zero and cycle-order invariants
+ * carry over per lane. Every block starts on a cache line and is
+ * padded to whole lines, so threads that write disjoint blocks never
+ * share a line.
  */
 class InterleavedWeightArena
 {
@@ -331,6 +349,14 @@ class InterleavedWeightArena
     /** Reshape to @p filters filters of @p taps streams of @p length
      *  bits, all zero, reusing storage when large enough. */
     void reset(size_t filters, size_t taps, size_t length);
+
+    /** reset() without the clearing: every block's words are unset
+     *  until clearBlock() zeroes them, so threads that fill disjoint
+     *  blocks also first-touch their memory in parallel. */
+    void reshape(size_t filters, size_t taps, size_t length);
+
+    /** Zero every word of block @p g, line padding included. */
+    void clearBlock(size_t g);
 
     /** Number of real filters held. */
     size_t filters() const { return filters_; }
@@ -350,15 +376,20 @@ class InterleavedWeightArena
     /** Kernel operand view of block @p g. */
     WeightBlockView block(size_t g) const;
 
+    /** Mutable words of block @p g, in block(g)'s layout; the caller
+     *  must keep padding lanes and tail bits zero. */
+    uint64_t *blockWords(size_t g);
+
     /** Copy packed stream words into (filter, tap)'s lane. */
     void assign(size_t filter, size_t tap, BitstreamView s);
 
   private:
     size_t filters_ = 0, taps_ = 0, length_ = 0;
     size_t stream_words_ = 0; //!< words per stream
-    size_t group_words_ = 0;  //!< words per filter block
+    size_t group_words_ = 0;  //!< words per filter block, line-padded
     size_t groups_ = 0;
-    std::vector<uint64_t> words_;
+    size_t lead_ = 0; //!< words_ before block 0's cache line
+    std::vector<uint64_t, UninitializedAllocator<uint64_t>> words_;
 };
 
 /** Pointer view of owned streams, for the pointer-based kernel APIs. */

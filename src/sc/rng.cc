@@ -88,7 +88,7 @@ Lfsr::nextBit()
 uint64_t
 SplitMix64::next()
 {
-    uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+    uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);

@@ -13,6 +13,7 @@
 #ifndef SCDCNN_SC_RNG_H
 #define SCDCNN_SC_RNG_H
 
+#include <cstddef>
 #include <cstdint>
 
 namespace scdcnn {
@@ -59,6 +60,10 @@ class Lfsr
 class SplitMix64
 {
   public:
+    /** The state increment of next(): the state after k draws is
+     *  seed + k * kGamma, so the k-th draw is a pure function of k. */
+    static constexpr uint64_t kGamma = 0x9E3779B97F4A7C15ull;
+
     explicit SplitMix64(uint64_t seed) : state_(seed) {}
 
     /** Next 64 random bits. */
@@ -112,6 +117,10 @@ class Xoshiro256ss
 
     /** Standard normal via Box-Muller. */
     double nextGaussian();
+
+    /** Word @p i (0..3) of the generator state (the lane-parallel SNG
+     *  loads its lanes from freshly seeded generators). */
+    uint64_t state(size_t i) const { return s_[i]; }
 
   private:
     static uint64_t rotl(uint64_t x, int k)

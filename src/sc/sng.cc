@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "sc/simd.h"
 
 namespace scdcnn {
 namespace sc {
@@ -50,53 +51,171 @@ constexpr uint64_t kEvenLanes = 0x0000FFFF0000FFFFull;
 /** Bit 31 of each 32-bit slot. */
 constexpr uint64_t kSlotTops = 0x8000000080000000ull;
 
+/** pushNibble's bias for threshold @p t (<= 65536): 2^31 + T - 1 in
+ *  both 32-bit slots. */
+uint64_t
+slotBias(uint32_t t)
+{
+    const uint64_t slot_bias = (uint64_t{1} << 31) + t - 1;
+    return slot_bias | slot_bias << 32;
+}
+
 /**
- * The four stream bits of one 64-bit draw, in the top nibble: bit
- * 60 + j is set iff 16-bit lane j (lane 0 in the low bits) is below
+ * Shift the four stream bits of one 64-bit draw into the top nibble
+ * of @p word, moving its earlier bits down four places: bit 60 + j is
+ * set iff 16-bit lane j (lane 0 in the low bits) of @p draw is below
  * the threshold T. @p bias holds 2^31 + T - 1 in both 32-bit slots, so
  * bias - lane keeps slot bit 31 exactly when lane < T, and never
  * borrows across slots (T <= 65536). No branches: at p = 0.5 a per-bit
- * branch is a coin flip.
+ * branch is a coin flip. @p U is uint64_t, or a vector of them, which
+ * applies the same arithmetic lane-wise (vectors pass by reference, so
+ * none crosses a call built for another ISA).
  */
-inline uint64_t
-drawNibble(uint64_t draw, uint64_t bias)
+template <class U>
+inline void
+pushNibble(U &word, const U &draw, const U &bias)
 {
-    const uint64_t even = (bias - (draw & kEvenLanes)) & kSlotTops;
-    const uint64_t odd = (bias - ((draw >> 16) & kEvenLanes)) & kSlotTops;
+    const U even = (bias - (draw & kEvenLanes)) & kSlotTops;
+    const U odd = (bias - ((draw >> 16) & kEvenLanes)) & kSlotTops;
     // Lanes 0, 1 at bits 30, 31 and lanes 2, 3 at bits 62, 63.
-    const uint64_t pairs = (even >> 1) | odd;
-    return (pairs | pairs << 30) & 0xF000000000000000ull;
+    const U pairs = (even >> 1) | odd;
+    word = (word >> 4) | ((pairs | pairs << 30) & 0xF000000000000000ull);
 }
 
+/** Bits of a stream's last word that lie inside @p length. */
+uint64_t
+tailMask(size_t length)
+{
+    return length % 64 == 0 ? ~uint64_t{0}
+                            : (uint64_t{1} << (length % 64)) - 1;
+}
+
+/**
+ * The scalar SNG: the stream of @p length bits at threshold @p t from
+ * @p rng, word w written to out[w * stride]. Compares 16-bit lanes of
+ * each 64-bit draw against the 16-bit threshold: 4 stream bits per
+ * generator call, draw d filling bits [4d, 4d + 4). Each draw's nibble
+ * enters at the top of the word and moves down four bits per later
+ * draw, so draw 0 ends in bits 0..3. The tail word takes only the
+ * draws its bits need and is shifted down the rest of the way; bits
+ * of its last draw past length are masked.
+ */
+void
+fillUnipolar(uint32_t t, size_t length, Xoshiro256ss &rng, uint64_t *out,
+             size_t stride)
+{
+    const uint64_t bias = slotBias(t);
+    const size_t n_words = (length + 63) / 64;
+    size_t draws = (length + 3) / 4;
+    for (size_t w = 0; w < n_words; ++w) {
+        const size_t n = std::min<size_t>(draws, 16);
+        uint64_t word = 0;
+        for (size_t d = 0; d < n; ++d)
+            pushNibble(word, rng.next(), bias);
+        word >>= 4 * (16 - n);
+        out[w * stride] = w + 1 == n_words ? word & tailMask(length) : word;
+        draws -= n;
+    }
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+
+/** Eight 64-bit lanes: one ymm pair on AVX2, one zmm on AVX-512. */
+using Lanes = uint64_t __attribute__((vector_size(64)));
+
+/**
+ * sngLanes' vector body: fillUnipolar on kSngLanes generators at once.
+ * The step is Xoshiro256ss::next() lane-wise, its multiplies by 5 and
+ * 9 as shift-adds (exact mod 2^64, and no 64-bit vector multiply is
+ * needed). No target of its own: it is always inlined into the
+ * target-attributed entry points below, which compile it for their
+ * tier.
+ */
+__attribute__((always_inline)) inline void
+drawLanes(const uint64_t *seeds, const uint32_t *thresholds, size_t n_lanes,
+          size_t length, uint64_t *out, size_t word_stride,
+          size_t lane_stride)
+{
+    Lanes s0, s1, s2, s3, bias;
+    for (size_t i = 0; i < kSngLanes; ++i) {
+        // Idle lanes draw a zero stream they never store.
+        const Xoshiro256ss rng(i < n_lanes ? seeds[i] : 0);
+        s0[i] = rng.state(0);
+        s1[i] = rng.state(1);
+        s2[i] = rng.state(2);
+        s3[i] = rng.state(3);
+        bias[i] = slotBias(i < n_lanes ? thresholds[i] : 0);
+    }
+    const size_t n_words = (length + 63) / 64;
+    size_t draws = (length + 3) / 4;
+    for (size_t w = 0; w < n_words; ++w) {
+        const size_t n = std::min<size_t>(draws, 16);
+        Lanes word = {};
+        for (size_t d = 0; d < n; ++d) {
+            const Lanes x = (s1 << 2) + s1;
+            const Lanes r = (x << 7) | (x >> 57);
+            const Lanes draw = (r << 3) + r;
+            const Lanes t = s1 << 17;
+            s2 ^= s0;
+            s3 ^= s1;
+            s1 ^= s2;
+            s0 ^= s3;
+            s2 ^= t;
+            s3 = (s3 << 45) | (s3 >> 19);
+            pushNibble(word, draw, bias);
+        }
+        word >>= 4 * (16 - n);
+        if (w + 1 == n_words)
+            word &= tailMask(length);
+        for (size_t i = 0; i < n_lanes; ++i)
+            out[w * word_stride + i * lane_stride] = word[i];
+        draws -= n;
+    }
+}
+
+__attribute__((target("avx512f"))) void
+drawLanesAvx512(const uint64_t *seeds, const uint32_t *thresholds,
+                size_t n_lanes, size_t length, uint64_t *out,
+                size_t word_stride, size_t lane_stride)
+{
+    drawLanes(seeds, thresholds, n_lanes, length, out, word_stride,
+              lane_stride);
+}
+
+__attribute__((target("avx2"))) void
+drawLanesAvx2(const uint64_t *seeds, const uint32_t *thresholds,
+              size_t n_lanes, size_t length, uint64_t *out,
+              size_t word_stride, size_t lane_stride)
+{
+    drawLanes(seeds, thresholds, n_lanes, length, out, word_stride,
+              lane_stride);
+}
+
+#endif
+
 } // namespace
+
+uint32_t
+unipolarThreshold(double p)
+{
+    // The 1/65536 value quantization is far below stochastic noise at
+    // practical lengths.
+    return static_cast<uint32_t>(
+        std::llround(std::clamp(p, 0.0, 1.0) * 65536.0));
+}
+
+uint32_t
+bipolarThreshold(double x)
+{
+    return unipolarThreshold((x + 1.0) / 2.0);
+}
 
 Bitstream
 sngUnipolar(double p, size_t length, Xoshiro256ss &rng)
 {
-    p = std::clamp(p, 0.0, 1.0);
-    // Compare 16-bit lanes of each 64-bit draw against a 16-bit
-    // threshold: 4 stream bits per generator call, draw d filling bits
-    // [4d, 4d + 4). The 1/65536 value quantization is far below
-    // stochastic noise at practical lengths.
-    const auto threshold =
-        static_cast<uint64_t>(std::llround(p * 65536.0));
-    const uint64_t slot_bias = (uint64_t{1} << 31) + threshold - 1;
-    const uint64_t bias = slot_bias | slot_bias << 32;
     Bitstream s(length);
-    // Each draw's nibble enters at the top of the word and moves down
-    // four bits per later draw, so draw 0 ends in bits 0..3. The tail
-    // word takes only the draws its bits need and is shifted down the
-    // rest of the way; bits of its last draw past length are masked.
-    size_t draws = (length + 3) / 4;
-    for (uint64_t &out : s.mutableWords()) {
-        const size_t n = std::min<size_t>(draws, 16);
-        uint64_t word = 0;
-        for (size_t d = 0; d < n; ++d)
-            word = (word >> 4) | drawNibble(rng.next(), bias);
-        out = word >> (4 * (16 - n));
-        draws -= n;
-    }
-    s.maskTail();
+    fillUnipolar(unipolarThreshold(p), length, rng, s.mutableWords().data(),
+                 1);
     return s;
 }
 
@@ -106,26 +225,48 @@ sngBipolar(double x, size_t length, Xoshiro256ss &rng)
     return sngUnipolar((x + 1.0) / 2.0, length, rng);
 }
 
-SngBank::SngBank(uint64_t master_seed) : seeder_(master_seed) {}
+void
+sngLanes(const uint64_t *seeds, const uint32_t *thresholds, size_t n_lanes,
+         size_t length, uint64_t *out, size_t word_stride,
+         size_t lane_stride)
+{
+    SCDCNN_ASSERT(n_lanes <= kSngLanes, "%zu SNG lanes exceed %zu", n_lanes,
+                  kSngLanes);
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (simd::avx512Enabled())
+        return drawLanesAvx512(seeds, thresholds, n_lanes, length, out,
+                               word_stride, lane_stride);
+    if (simd::enabled())
+        return drawLanesAvx2(seeds, thresholds, n_lanes, length, out,
+                             word_stride, lane_stride);
+#endif
+    for (size_t i = 0; i < n_lanes; ++i) {
+        Xoshiro256ss rng(seeds[i]);
+        fillUnipolar(thresholds[i], length, rng, out + i * lane_stride,
+                     word_stride);
+    }
+}
+
+SngBank::SngBank(uint64_t master_seed) : master_seed_(master_seed) {}
 
 Bitstream
 SngBank::bipolar(double x, size_t length)
 {
-    Xoshiro256ss rng(seeder_.next());
+    Xoshiro256ss rng(seedAt(next_++));
     return sngBipolar(x, length, rng);
 }
 
 Bitstream
 SngBank::unipolar(double p, size_t length)
 {
-    Xoshiro256ss rng(seeder_.next());
+    Xoshiro256ss rng(seedAt(next_++));
     return sngUnipolar(p, length, rng);
 }
 
 Xoshiro256ss
 SngBank::makeRng()
 {
-    return Xoshiro256ss(seeder_.next());
+    return Xoshiro256ss(seedAt(next_++));
 }
 
 } // namespace sc

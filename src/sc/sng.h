@@ -40,6 +40,34 @@ Bitstream sngUnipolar(double p, size_t length, Xoshiro256ss &rng);
 /** Bipolar stream from a Xoshiro-driven SNG (Monte-Carlo harnesses). */
 Bitstream sngBipolar(double x, size_t length, Xoshiro256ss &rng);
 
+/** Comparator threshold T of the Xoshiro SNG for p in [0,1]
+ *  (saturated): T = round(p * 65536), and a cycle emits 1 iff its
+ *  16-bit draw lane is below T. */
+uint32_t unipolarThreshold(double p);
+
+/** Threshold of the bipolar stream for x in [-1,1]:
+ *  unipolarThreshold((x + 1) / 2). */
+uint32_t bipolarThreshold(double x);
+
+/** Streams one sngLanes call draws together. */
+constexpr size_t kSngLanes = 8;
+
+/**
+ * Up to kSngLanes Xoshiro-driven SNG streams drawn in lock step: lane
+ * i < @p n_lanes is, bit for bit, the stream sngUnipolar draws from
+ * Xoshiro256ss(seeds[i]) at threshold thresholds[i]. Word w of lane i
+ * is written to out[w * word_stride + i * lane_stride], bits past
+ * @p length zeroed, so the lanes land straight in an arena layout.
+ *
+ * On the AVX-512 and AVX2 tiers (sc/simd.h) the generator is
+ * xoshiro256** in eight 64-bit vector lanes, with sngUnipolar's SWAR
+ * comparison applied lane-wise; the scalar tier runs sngUnipolar's
+ * loop lane by lane. Both share one arithmetic.
+ */
+void sngLanes(const uint64_t *seeds, const uint32_t *thresholds,
+              size_t n_lanes, size_t length, uint64_t *out,
+              size_t word_stride, size_t lane_stride);
+
 /**
  * A bank of independent SNGs.
  *
@@ -48,6 +76,9 @@ Bitstream sngBipolar(double x, size_t length, Xoshiro256ss &rng);
  * streams that are statistically independent of each other. The bank
  * derives one fresh generator per request from a master seed, so a given
  * bank instance reproduces the same stream sequence run after run.
+ * Request k's generator seed is a pure function of (master seed, k)
+ * (seedAt), so streams can also be drawn out of order, e.g. split
+ * across threads, and still match the sequential draw.
  */
 class SngBank
 {
@@ -63,8 +94,16 @@ class SngBank
     /** A fresh independent generator (for MUX select lines etc.). */
     Xoshiro256ss makeRng();
 
+    /** Generator seed of the bank's request @p k (0-based, counting
+     *  every call above): SplitMix64's draw k of the master seed. */
+    uint64_t seedAt(uint64_t k) const
+    {
+        return SplitMix64(master_seed_ + k * SplitMix64::kGamma).next();
+    }
+
   private:
-    SplitMix64 seeder_;
+    uint64_t master_seed_;
+    uint64_t next_ = 0; //!< index of the next request
 };
 
 } // namespace sc

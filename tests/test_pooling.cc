@@ -310,34 +310,40 @@ TEST(MaxPoolRange, CarriedStateMatchesWholeStreamKernel)
     // Streaming the Figure 8 selector range by range with a carried
     // MaxPoolCarryState must be bit-exact with the bit-serial oracle —
     // including pooling segments straddling range boundaries
-    // (segment_len 24 never aligns with 64-cycle words).
+    // (segment_len 24 never aligns with 64-cycle words). Four inputs
+    // (a 2x2 window) keep their counters inline; six spill to the heap.
     const size_t len = 300;
     const size_t n_words = (len + 63) / 64;
-    auto ins = bipolarStreams({0.3, 0.25, -0.2, 0.35}, len, 91);
-    const auto views = sc::toViews(ins);
-    for (size_t segment_len : {size_t{16}, size_t{24}, size_t{7}}) {
-        for (bool accumulate : {false, true}) {
-            const sc::Bitstream whole = maxPoolStreamsReference(
-                views, segment_len, 0, accumulate);
-            for (size_t seg_words : kRangePartitions) {
-                std::vector<uint64_t> stitched(n_words, 0);
-                MaxPoolCarryState state;
-                state.reset(ins.size(), 0);
-                for (size_t w0 = 0; w0 < n_words; w0 += seg_words) {
-                    const size_t w1 = std::min(w0 + seg_words, n_words);
-                    const size_t n_cycles =
-                        std::min(w1 * 64, len) - w0 * 64;
-                    const uint64_t *ptrs[4];
-                    for (size_t k = 0; k < ins.size(); ++k)
-                        ptrs[k] = ins[k].words().data() + w0;
-                    maxPoolStreamsRange(ptrs, ins.size(), w0 * 64,
-                                        n_cycles, segment_len, accumulate,
-                                        state, stitched.data() + w0);
+    for (const std::vector<double> &values :
+         {std::vector<double>{0.3, 0.25, -0.2, 0.35},
+          std::vector<double>{0.3, 0.25, -0.2, 0.35, 0.32, -0.6}}) {
+        auto ins = bipolarStreams(values, len, 91);
+        const auto views = sc::toViews(ins);
+        for (size_t segment_len : {size_t{16}, size_t{24}, size_t{7}}) {
+            for (bool accumulate : {false, true}) {
+                const sc::Bitstream whole = maxPoolStreamsReference(
+                    views, segment_len, 0, accumulate);
+                for (size_t seg_words : kRangePartitions) {
+                    std::vector<uint64_t> stitched(n_words, 0);
+                    MaxPoolCarryState state;
+                    state.reset(ins.size(), 0);
+                    for (size_t w0 = 0; w0 < n_words; w0 += seg_words) {
+                        const size_t w1 = std::min(w0 + seg_words, n_words);
+                        const size_t n_cycles =
+                            std::min(w1 * 64, len) - w0 * 64;
+                        const uint64_t *ptrs[6];
+                        for (size_t k = 0; k < ins.size(); ++k)
+                            ptrs[k] = ins[k].words().data() + w0;
+                        maxPoolStreamsRange(ptrs, ins.size(), w0 * 64,
+                                            n_cycles, segment_len, accumulate,
+                                            state, stitched.data() + w0);
+                    }
+                    EXPECT_EQ(stitched, whole.words())
+                        << "inputs=" << ins.size()
+                        << " segment_len=" << segment_len
+                        << " accumulate=" << accumulate
+                        << " seg_words=" << seg_words;
                 }
-                EXPECT_EQ(stitched, whole.words())
-                    << "segment_len=" << segment_len
-                    << " accumulate=" << accumulate
-                    << " seg_words=" << seg_words;
             }
         }
     }

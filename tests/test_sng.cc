@@ -2,7 +2,8 @@
  * @file
  * Tests for stochastic number generators: expected values, saturation,
  * determinism, stream independence, and the exact bits of the
- * Xoshiro-driven SNG (a per-bit oracle plus golden stream hashes).
+ * Xoshiro-driven SNG (a per-bit oracle plus golden stream hashes) and
+ * of its lane-parallel form against the scalar one.
  */
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "sc/bitstream.h"
 #include "sc/ops.h"
 #include "sc/rng.h"
+#include "sc/simd.h"
 #include "sc/sng.h"
 
 namespace scdcnn {
@@ -278,6 +280,83 @@ TEST(SngBank, FirstStreamsMatchGoldenHashes)
         EXPECT_EQ(hashStreams(streams), golden[seed - 1])
             << "seed " << seed << ": 0x" << std::hex
             << hashStreams(streams);
+    }
+}
+
+TEST(SngBank, SeedAtIndexReproducesTheSequentialDraw)
+{
+    SngBank seq(77);
+    const SngBank indexed(77);
+    for (uint64_t k = 0; k < 5; ++k) {
+        Xoshiro256ss rng(indexed.seedAt(k));
+        EXPECT_EQ(seq.bipolar(0.1 * k, 300), sngBipolar(0.1 * k, 300, rng))
+            << "stream " << k;
+    }
+    // Out of order too: stream 9 does not depend on streams 5..8.
+    Xoshiro256ss rng(indexed.seedAt(9));
+    for (int k = 5; k < 9; ++k)
+        seq.makeRng();
+    EXPECT_EQ(seq.unipolar(0.7, 64), sngUnipolar(0.7, 64, rng));
+}
+
+TEST(SngLanes, MatchScalarSngAtEveryLengthAndEdgeThreshold)
+{
+    // Thresholds 0 and 65536 (never, always) and their neighbours, plus
+    // two inside; rotation r gives lane i threshold (i + r) % 8, so
+    // every lane position meets every threshold. Both arena layouts:
+    // lanes adjacent within a word row (an interleaved weight block)
+    // and lanes a whole stream apart (a plain arena). Words the call
+    // does not own must keep their sentinel.
+    const uint32_t thresholds[kSngLanes] = {0,     1,     2,     65534,
+                                            65535, 65536, 32768, 12345};
+    constexpr uint64_t kSentinel = 0xA5A5A5A5A5A5A5A5ull;
+    for (bool simd_on : {true, false}) {
+        simd::setEnabled(simd_on);
+        for (size_t len : {1, 3, 4, 63, 64, 65, 250, 1024}) {
+            const size_t words = (len + 63) / 64;
+            for (size_t n_lanes : {size_t{1}, size_t{5}, kSngLanes}) {
+                for (bool word_major : {true, false}) {
+                    const size_t word_stride = word_major ? kSngLanes + 3 : 1;
+                    const size_t lane_stride = word_major ? 1 : words + 2;
+                    for (size_t r = 0; r < kSngLanes; ++r) {
+                        SCOPED_TRACE(testing::Message()
+                                     << "simd=" << simd_on << " len=" << len
+                                     << " lanes=" << n_lanes
+                                     << " word_major=" << word_major
+                                     << " rotation=" << r);
+                        uint64_t seeds[kSngLanes];
+                        uint32_t t[kSngLanes];
+                        for (size_t i = 0; i < kSngLanes; ++i) {
+                            seeds[i] = 1000 * len + 10 * r + i;
+                            t[i] = thresholds[(i + r) % kSngLanes];
+                        }
+                        std::vector<uint64_t> out(
+                            words * word_stride + kSngLanes * lane_stride,
+                            kSentinel);
+                        sngLanes(seeds, t, n_lanes, len, out.data(),
+                                 word_stride, lane_stride);
+                        std::vector<bool> owned(out.size(), false);
+                        for (size_t i = 0; i < n_lanes; ++i) {
+                            Xoshiro256ss rng(seeds[i]);
+                            const Bitstream want = sngUnipolar(
+                                t[i] / 65536.0, len, rng);
+                            for (size_t w = 0; w < words; ++w) {
+                                const size_t at =
+                                    w * word_stride + i * lane_stride;
+                                owned[at] = true;
+                                EXPECT_EQ(out[at], want.words()[w])
+                                    << "lane " << i << " word " << w;
+                            }
+                        }
+                        for (size_t j = 0; j < out.size(); ++j) {
+                            if (!owned[j]) {
+                                EXPECT_EQ(out[j], kSentinel) << "word " << j;
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
