@@ -8,7 +8,8 @@
  * same pool as the one-thread batch point they are compared with; that
  * batch point runs armed too and gets its own per-(stage, phase)
  * table. Every batch point runs one unmeasured warm-up call, then at
- * least three timed reps (mean, median and interquartile range); the
+ * least three timed reps (mean, median and interquartile range, and
+ * the process's minor page faults per call); the
  * single-image SC timings (fused, progressive and the scenario
  * topologies) follow a warm-up call too and are timed rep by rep with
  * the same statistics, and every batch/single ratio is median over
@@ -31,6 +32,8 @@
  * SCDCNN_BENCH_TRACE_REPS (armed/disarmed pairs of the tracing-overhead
  * measurement, default 9, at least 3).
  */
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -101,7 +104,17 @@ struct ThreadPoint
     size_t threads;
     Spread ms;             //!< one forwardBatch call over the timed reps
     double images_per_sec; //!< from the mean
+    double minflt_per_batch; //!< minor page faults per timed call
 };
+
+/** Minor page faults of the whole process (every thread) so far. */
+long
+minorFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt;
+}
 
 /** Per-phase milliseconds, averaged over the profiled reps. */
 struct PhaseMs
@@ -518,20 +531,26 @@ main()
 
     // One unmeasured warm-up call, then batch_reps timed calls, each
     // on the same images and seed; with @p arm the recorder is armed
-    // around the timed calls only.
+    // around the timed calls only. @p minflt, when non-null, receives
+    // the process's minor page faults per timed call.
     const auto time_batch = [&](const core::ScNetwork &engine,
                                 ThreadPool &pool, bool arm,
-                                std::vector<size_t> *preds) {
+                                std::vector<size_t> *preds,
+                                double *minflt) {
         engine.forwardBatch(images, 42, &pool);
         if (arm) {
             rec.clear();
             rec.arm();
         }
+        const long faults0 = minorFaults();
         const Spread sp = time_reps(batch_reps, [&](size_t) {
             std::vector<size_t> p = engine.forwardBatch(images, 42, &pool);
             if (preds != nullptr)
                 *preds = std::move(p);
         });
+        if (minflt != nullptr)
+            *minflt = static_cast<double>(minorFaults() - faults0) /
+                      static_cast<double>(batch_reps);
         if (arm)
             rec.disarm();
         return sp;
@@ -549,7 +568,8 @@ main()
     for (size_t t : thread_counts) {
         ThreadPool pool(t);
         std::vector<size_t> preds;
-        const Spread sp = time_batch(sc_net, pool, t == 1, &preds);
+        double minflt = 0;
+        const Spread sp = time_batch(sc_net, pool, t == 1, &preds, &minflt);
         if (t == 1)
             batch_stage_phases =
                 stagePhaseMs(rec, batch_images * batch_reps);
@@ -561,11 +581,12 @@ main()
                         t);
         const double ips =
             static_cast<double>(batch_images) / (sp.mean / 1000.0);
-        points.push_back({t, sp, ips});
+        points.push_back({t, sp, ips, minflt});
         std::printf("  %2zu thread%s %10.1f ms %10.2f images/sec "
-                    "(median %.1f ms, IQR %.1f ms)\n",
+                    "(median %.1f ms, IQR %.1f ms, %.0f minor faults "
+                    "per batch)\n",
                     t, t == 1 ? " " : "s", sp.mean, ips, sp.median,
-                    sp.iqr);
+                    sp.iqr, minflt);
     }
 
     // Batch-vs-single throughput ratio of the batch path (both sides
@@ -620,7 +641,8 @@ main()
                 single(topo_net, img, 2 + r, fused_opts);
             });
             const double ms = sms.mean;
-            const Spread bms = time_batch(topo_net, pool1, false, nullptr);
+            const Spread bms =
+                time_batch(topo_net, pool1, false, nullptr, nullptr);
             const double bips =
                 static_cast<double>(batch_images) / (bms.mean / 1000.0);
             const double ratio = static_cast<double>(batch_images) *
@@ -753,9 +775,10 @@ main()
         std::fprintf(f,
                      "      {\"threads\": %zu, \"ms_total\": %.3f, "
                      "\"images_per_sec\": %.2f, \"ms_median\": %.3f, "
-                     "\"ms_iqr\": %.3f}%s\n",
+                     "\"ms_iqr\": %.3f, "
+                     "\"batch_minflt_per_batch\": %.1f}%s\n",
                      p.threads, p.ms.mean, p.images_per_sec,
-                     p.ms.median, p.ms.iqr,
+                     p.ms.median, p.ms.iqr, p.minflt_per_batch,
                      i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n");

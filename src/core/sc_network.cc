@@ -363,12 +363,11 @@ ScNetwork::ScNetwork(const nn::Network &trained, ScNetworkConfig cfg,
     });
 }
 
-ScNetwork::StreamGrid
+void
 ScNetwork::encodeImages(std::span<const nn::Tensor> images,
                         const std::vector<uint64_t> &seeds,
-                        ThreadPool *pool) const
+                        ThreadPool *pool, StreamGrid &grid) const
 {
-    StreamGrid grid;
     grid.c = plan_.in_c;
     grid.h = plan_.in_h;
     grid.w = plan_.in_w;
@@ -404,7 +403,6 @@ ScNetwork::encodeImages(std::span<const nn::Tensor> images,
         parallelFor(*pool, 0, images.size(), body);
     else
         parallelFor(0, images.size(), body);
-    return grid;
 }
 
 void
@@ -426,12 +424,9 @@ ScNetwork::initStageRun(StageRun &run, size_t layer_idx,
     run.fsm.assign(n_pixels * B,
                    use_apc ? btanh_tables_[layer_idx]->initialState()
                            : stanh_tables_[layer_idx]->initialState());
-    run.pool.clear();
-    if (use_max) {
-        run.pool.resize(n_pixels * B);
-        for (auto &ps : run.pool)
-            ps.reset(4, 0);
-    }
+    run.pool.resize(use_max ? n_pixels * B : 0);
+    for (auto &ps : run.pool)
+        ps.reset(4, 0);
     // Every generator is derived from its position: MUX selects per
     // (filter block, position, window) site — shared by the block's
     // lanes, the way the blocked MUX kernel samples — at index
@@ -835,11 +830,16 @@ ScNetwork::forwardFused(std::span<const nn::Tensor> images,
 
     // Per-stage carried state, seeded positionally per stage index
     // (0x1111, 0x2222, ... — stage l of image b gets
-    // seeds[b] ^ 0x1111*(l+1)).
+    // seeds[b] ^ 0x1111*(l+1)). The state's buffers come from the
+    // engine's slot with their previous call's contents: every word
+    // and counter this call reads is written or reset earlier in it.
     const size_t n_stages = plan_.stages.size();
-    StreamGrid x = encodeImages(images, seeds, pool);
-    std::vector<StageRun> runs(n_stages);
-    OutputRun out;
+    std::unique_ptr<ForwardState> state = takeState();
+    StreamGrid &x = state->x;
+    std::vector<StageRun> &runs = state->runs;
+    OutputRun &out = state->out;
+    encodeImages(images, seeds, pool, x);
+    runs.resize(n_stages);
     std::vector<uint64_t> stage_seeds(B);
     for (size_t l = 0; l < n_stages; ++l) {
         for (size_t b = 0; b < B; ++b)
@@ -948,7 +948,27 @@ ScNetwork::forwardFused(std::span<const nn::Tensor> images,
             info->cancelled = cancelled[b] != 0;
         }
     }
+    returnState(std::move(state));
     return preds;
+}
+
+std::unique_ptr<ScNetwork::ForwardState>
+ScNetwork::takeState() const
+{
+    {
+        const std::lock_guard<std::mutex> lock(state_mu_);
+        if (state_slot_ != nullptr)
+            return std::move(state_slot_);
+    }
+    return std::make_unique<ForwardState>();
+}
+
+void
+ScNetwork::returnState(std::unique_ptr<ForwardState> state) const
+{
+    const std::lock_guard<std::mutex> lock(state_mu_);
+    if (state_slot_ == nullptr)
+        state_slot_ = std::move(state);
 }
 
 ScNetwork::StreamGrid
@@ -1144,7 +1164,8 @@ ScNetwork::predictReference(const nn::Tensor &image, uint64_t seed,
     const size_t len = cfg_.bitstream_len;
     const size_t n_words = (len + 63) / 64;
     const size_t n_convs = plan_.convCount();
-    StreamGrid grid = encodeImages(std::span(&image, 1), {seed}, nullptr);
+    StreamGrid grid;
+    encodeImages(std::span(&image, 1), {seed}, nullptr, grid);
     for (size_t l = 0; l < n_convs; ++l)
         grid = referenceConv(grid, l, seed ^ (0x1111ULL * (l + 1)));
     sc::BatchStreamArena flat = std::move(grid.arena);

@@ -28,6 +28,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -152,6 +154,13 @@ struct PredictOptions
  * feature-extraction-block structure — geometry, fan-ins, FSM gains,
  * arena sizes, paper-group knobs — is derived from the layer list at
  * construction, with per-layer diagnostics for unsupported shapes.
+ *
+ * Every const member may be called from several threads at once. A
+ * Fused or Progressive pass runs on the engine's one retained
+ * forward-pass state (arenas, FSM and pooling states, accumulators)
+ * and keeps its capacity for the next call; a pass that finds it in
+ * use builds and frees a state of its own. Answers never depend on
+ * which state a pass ran on or on the calls before it.
  */
 class ScNetwork
 {
@@ -371,10 +380,25 @@ class ScNetwork
         std::vector<size_t> consumed;           //!< [image]
     };
 
-    /** SNG-encode every image into one grid, image b at seeds[b]. */
-    StreamGrid encodeImages(std::span<const nn::Tensor> images,
-                            const std::vector<uint64_t> &seeds,
-                            ThreadPool *pool) const;
+    /**
+     * Everything a Fused or Progressive pass writes besides its
+     * answers: the encoded input grid, every hidden stage's run and
+     * the output accumulators. A pass reshapes it to its own (B, L,
+     * plan) and keeps the capacity, so an engine that keeps one
+     * between calls stops allocating (and page-faulting) per batch,
+     * the way the paper's layers reuse fixed on-chip buffers.
+     */
+    struct ForwardState
+    {
+        StreamGrid x;
+        std::vector<StageRun> runs;
+        OutputRun out;
+    };
+
+    /** SNG-encode every image into @p grid, image b at seeds[b]. */
+    void encodeImages(std::span<const nn::Tensor> images,
+                      const std::vector<uint64_t> &seeds, ThreadPool *pool,
+                      StreamGrid &grid) const;
 
     /** Size @p run for hidden stage @p layer_idx over seeds.size()
      *  images and seed its generators from @p seeds (the stage seeds
@@ -428,6 +452,14 @@ class ScNetwork
     referenceFc(const std::vector<sc::BitstreamView> &in, size_t layer_idx,
                 uint64_t seed) const;
 
+    /** The retained ForwardState when the slot holds one, else a new
+     *  empty one (a concurrent caller's own, freed on return). */
+    std::unique_ptr<ForwardState> takeState() const;
+
+    /** Put @p state back in the slot if the slot is empty; otherwise
+     *  free it, so the engine retains at most one state. */
+    void returnState(std::unique_ptr<ForwardState> state) const;
+
     /** The FEB kind hidden stage @p layer runs with (derived from its
      *  paper group and whether the stage pools). */
     blocks::FebKind stageFebKind(size_t layer) const
@@ -460,6 +492,12 @@ class ScNetwork
     /** The EngineMode::Binary backend (declared after plan_: it is
      *  built from the trained net and the already-derived plan). */
     BinaryNetwork binary_;
+
+    /** The one retained ForwardState, empty while a pass holds it.
+     *  Only the hand-over takes the mutex; a pass never runs under
+     *  it. */
+    mutable std::mutex state_mu_;
+    mutable std::unique_ptr<ForwardState> state_slot_;
 };
 
 } // namespace core

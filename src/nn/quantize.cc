@@ -9,34 +9,60 @@
 namespace scdcnn {
 namespace nn {
 
+namespace {
+
+/** The w-bit code grid: 2^w (exact in a double) and the top code. */
+struct CodeGrid
+{
+    explicit CodeGrid(unsigned bits)
+        : scale(std::ldexp(1.0, static_cast<int>(bits))),
+          max_code((uint64_t{1} << bits) - 1)
+    {
+        SCDCNN_ASSERT(bits >= 1 && bits <= 63, "bad precision %u", bits);
+    }
+
+    uint64_t code(double x) const
+    {
+        x = std::clamp(x, -1.0, 1.0);
+        const auto c = static_cast<uint64_t>((x + 1.0) / 2.0 *
+                                             scale); // Int(): truncate
+        return std::min(c, max_code); // x = +1 saturates to the top code
+    }
+
+    double quantize(double x) const
+    {
+        return 2.0 * (static_cast<double>(code(x)) / scale) - 1.0;
+    }
+
+    double scale;
+    uint64_t max_code;
+};
+
+} // namespace
+
 uint64_t
 weightCode(double x, unsigned bits)
 {
-    SCDCNN_ASSERT(bits >= 1 && bits <= 63, "bad precision %u", bits);
-    x = std::clamp(x, -1.0, 1.0);
-    const double scaled = (x + 1.0) / 2.0 * std::pow(2.0, bits);
-    auto code = static_cast<uint64_t>(scaled); // Int(): truncate
-    const uint64_t max_code = (uint64_t{1} << bits) - 1;
-    return std::min(code, max_code); // x = +1 saturates to the top code
+    return CodeGrid(bits).code(x);
 }
 
 double
 quantizeWeight(double x, unsigned bits)
 {
-    const double y = static_cast<double>(weightCode(x, bits)) /
-                     std::pow(2.0, bits);
-    return 2.0 * y - 1.0;
+    return CodeGrid(bits).quantize(x);
 }
 
 void
 quantizeLayer(Layer &layer, unsigned bits)
 {
+    // One grid per layer: 2^w is computed once, not per weight.
+    const CodeGrid grid(bits);
     if (auto *w = layer.weights())
         for (auto &v : *w)
-            v = static_cast<float>(quantizeWeight(v, bits));
+            v = static_cast<float>(grid.quantize(v));
     if (auto *b = layer.biases())
         for (auto &v : *b)
-            v = static_cast<float>(quantizeWeight(v, bits));
+            v = static_cast<float>(grid.quantize(v));
 }
 
 void

@@ -19,6 +19,13 @@ wordsFor(size_t length)
 /** 64-bit words per 64-byte cache line. */
 constexpr size_t kLineWords = 64 / sizeof(uint64_t);
 
+#ifndef NDEBUG
+/** What a reset BatchStreamArena holds in builds with assertions: set
+ *  bits in every byte, tail bits included, so reading a word no writer
+ *  produced shows up as a wrong answer. */
+constexpr uint64_t kStaleWordPoison = 0xA5A5A5A5A5A5A5A5ULL;
+#endif
+
 } // namespace
 
 Bitstream::Bitstream(size_t length)
@@ -276,7 +283,13 @@ BatchStreamArena::reset(size_t count, size_t images, size_t length)
     images_ = images;
     length_ = length;
     stride_ = wordsFor(length);
-    words_.assign(count_ * images_ * stride_, 0);
+    // Emptied first, so a reset that outgrows the storage copies no
+    // stale words into the new block.
+    words_.clear();
+    words_.resize(count_ * images_ * stride_);
+#ifndef NDEBUG
+    std::fill(words_.begin(), words_.end(), kStaleWordPoison);
+#endif
 }
 
 void

@@ -208,6 +208,19 @@ class StreamArena
     std::vector<uint64_t> words_;
 };
 
+/** std::allocator whose containers default-initialize new elements:
+ *  growing one leaves the new words unset, so they are first touched
+ *  where they are written. */
+template <class T>
+struct UninitializedAllocator : std::allocator<T>
+{
+    template <class U>
+    void construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+};
+
 /**
  * Batch-major stream arena: @c count sites of @c images equal-length
  * packed streams, laid out site-major / image-minor.
@@ -228,8 +241,15 @@ class BatchStreamArena
   public:
     BatchStreamArena() = default;
 
-    /** Reshape to @p count sites x @p images all-zero streams of
-     *  @p length bits each, reusing storage when large enough. */
+    /**
+     * Reshape to @p count sites x @p images streams of @p length bits
+     * each, reusing storage when large enough. The words are left
+     * unset: every word a forward pass reads is written earlier in the
+     * same pass, and every writer keeps the tail bits zero. Builds
+     * without NDEBUG fill them with a non-zero poison pattern instead,
+     * so a read of an unwritten word, or a tail bit left set, changes
+     * an answer.
+     */
     void reset(size_t count, size_t images, size_t length);
 
     /** Number of sites held. */
@@ -270,20 +290,7 @@ class BatchStreamArena
 
   private:
     size_t count_ = 0, images_ = 0, length_ = 0, stride_ = 0;
-    std::vector<uint64_t> words_;
-};
-
-/** std::allocator whose containers default-initialize new elements:
- *  growing one leaves the new words unset, so they are first touched
- *  where they are cleared. */
-template <class T>
-struct UninitializedAllocator : std::allocator<T>
-{
-    template <class U>
-    void construct(U *p) noexcept
-    {
-        ::new (static_cast<void *>(p)) U;
-    }
+    std::vector<uint64_t, UninitializedAllocator<uint64_t>> words_;
 };
 
 /** Filters per interleave block: one 64-bit lane per filter in a

@@ -10,12 +10,18 @@
  * bits — with the bit-serial Reference oracle for every FEB kind,
  * segment size and ragged batch shape (one image included), on every
  * pool width, and a mixed Progressive early-exit batch must leave
- * every image's outcome equal to its own single-image run.
+ * every image's outcome equal to its own single-image run. An engine
+ * reuses its forward-pass state across calls, so its answers must not
+ * depend on the calls before, nor on concurrent callers.
  */
 
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -808,6 +814,225 @@ TEST(BatchEngine, BatchedPathIsThreadCountInvariant)
             }
         }
     }
+}
+
+/** What one forward call returned: the classes and every image's
+ *  ForwardInfo. */
+struct CallOutcome
+{
+    std::vector<size_t> preds;
+    std::vector<core::ForwardInfo> infos;
+};
+
+/** Classes, score bits, effective bits and the exit/cancel flags of
+ *  every image must agree exactly. */
+void
+expectSameOutcome(const CallOutcome &got, const CallOutcome &want,
+                  const std::string &what)
+{
+    ASSERT_EQ(got.preds, want.preds) << what;
+    ASSERT_EQ(got.infos.size(), want.infos.size()) << what;
+    for (size_t i = 0; i < got.infos.size(); ++i) {
+        const core::ForwardInfo &g = got.infos[i];
+        const core::ForwardInfo &w = want.infos[i];
+        ASSERT_EQ(g.scores.size(), w.scores.size()) << what;
+        for (size_t o = 0; o < g.scores.size(); ++o)
+            EXPECT_EQ(std::bit_cast<uint64_t>(g.scores[o]),
+                      std::bit_cast<uint64_t>(w.scores[o]))
+                << what << " image=" << i << " class=" << o;
+        EXPECT_EQ(g.effective_bits, w.effective_bits)
+            << what << " image=" << i;
+        EXPECT_EQ(g.early_exit, w.early_exit) << what << " image=" << i;
+        EXPECT_EQ(g.cancelled, w.cancelled) << what << " image=" << i;
+    }
+}
+
+/** A cancellation that has already fired. */
+struct AlreadyCancelled final : core::CancelSignal
+{
+    bool cancelled() const override { return true; }
+};
+
+std::vector<nn::Tensor>
+renderImages(size_t n, uint64_t salt)
+{
+    std::vector<nn::Tensor> images;
+    for (size_t i = 0; i < n; ++i)
+        images.push_back(nn::DigitDataset::render((i * 3 + salt) % 10,
+                                                  salt * 100 + i));
+    return images;
+}
+
+TEST(BatchEngine, AnswersDoNotDependOnTheEnginesCallHistory)
+{
+    // An engine keeps its forward-pass state between calls and reuses
+    // it without clearing it. A sequence of calls of shrinking and
+    // growing batches — a Progressive batch whose images exit at
+    // different points, a batch with a cancelled image, a single-image
+    // predictWith — must answer each call exactly as a freshly built
+    // engine answers it alone, at a stream length with a partial tail
+    // word (1000) and without one (1024), for a max-pooled APC net
+    // (LeNet5's kinds) and one with a MUX stage and average pooling.
+    const struct
+    {
+        nn::PoolingMode pooling;
+        core::AdderKind conv1;
+    } cases[] = {
+        {nn::PoolingMode::Max, core::AdderKind::Apc},
+        {nn::PoolingMode::Average, core::AdderKind::Mux},
+    };
+    const AlreadyCancelled cancelled;
+    for (const auto &c : cases) {
+        const nn::Network net = nn::buildMiniLeNet(c.pooling, 41);
+        for (size_t len : {size_t{1000}, size_t{1024}}) {
+            core::ScNetworkConfig cfg;
+            cfg.pooling = c.pooling;
+            cfg.layer_adders = {c.conv1, core::AdderKind::Apc,
+                                core::AdderKind::Apc};
+            cfg.bitstream_len = len;
+            cfg.stream_segment_words = 3;
+
+            core::PredictOptions exiting;
+            exiting.mode = core::EngineMode::Progressive;
+            exiting.progressive_margin = 0.1;
+            exiting.progressive_min_bits = 192;
+            core::PredictOptions full_progressive;
+            full_progressive.mode = core::EngineMode::Progressive;
+            full_progressive.progressive_margin = 1e9;
+
+            using Call = std::function<CallOutcome(const core::ScNetwork &)>;
+            const std::vector<nn::Tensor> b16 = renderImages(16, 1);
+            const std::vector<nn::Tensor> b3 = renderImages(3, 2);
+            const std::vector<nn::Tensor> b4 = renderImages(4, 3);
+            const std::vector<nn::Tensor> b1 = renderImages(1, 4);
+            const std::vector<nn::Tensor> b7 = renderImages(7, 5);
+            const std::vector<std::pair<std::string, Call>> calls = {
+                {"fused B=16",
+                 [&](const core::ScNetwork &sc) {
+                     CallOutcome r;
+                     r.preds = sc.forwardBatch(b16, 11,
+                                               core::PredictOptions{},
+                                               nullptr, &r.infos);
+                     return r;
+                 }},
+                {"progressive B=3 exiting",
+                 [&](const core::ScNetwork &sc) {
+                     CallOutcome r;
+                     r.preds =
+                         sc.forwardBatch(b3, 12, exiting, nullptr, &r.infos);
+                     return r;
+                 }},
+                {"progressive B=4 one cancelled",
+                 [&](const core::ScNetwork &sc) {
+                     const std::vector<uint64_t> seeds = {13, 14, 15, 16};
+                     const std::vector<const core::CancelSignal *> cancels =
+                         {nullptr, nullptr, &cancelled, nullptr};
+                     CallOutcome r;
+                     r.preds = sc.forwardBatch(b4, seeds, full_progressive,
+                                               nullptr, &r.infos, &cancels);
+                     return r;
+                 }},
+                {"predictWith B=1",
+                 [&](const core::ScNetwork &sc) {
+                     CallOutcome r;
+                     r.infos.resize(1);
+                     r.preds = {sc.predictWith(b1[0], 17,
+                                               core::PredictOptions{},
+                                               &r.infos[0])};
+                     return r;
+                 }},
+                {"fused B=7",
+                 [&](const core::ScNetwork &sc) {
+                     CallOutcome r;
+                     r.preds = sc.forwardBatch(b7, 18,
+                                               core::PredictOptions{},
+                                               nullptr, &r.infos);
+                     return r;
+                 }},
+            };
+
+            const core::ScNetwork shared(net, cfg);
+            for (const auto &[name, call] : calls) {
+                const std::string what =
+                    name + " pooling=" +
+                    std::to_string(static_cast<int>(c.pooling)) +
+                    " len=" + std::to_string(len);
+                const CallOutcome want = call(core::ScNetwork(net, cfg));
+                expectSameOutcome(call(shared), want, what);
+                if (name == "progressive B=3 exiting") {
+                    size_t exits = 0;
+                    for (const core::ForwardInfo &info : want.infos)
+                        exits += info.early_exit ? 1 : 0;
+                    EXPECT_GT(exits, 0u) << what << ": no image exited";
+                }
+                if (name == "progressive B=4 one cancelled") {
+                    EXPECT_TRUE(want.infos[2].cancelled) << what;
+                    EXPECT_LT(want.infos[2].effective_bits, len) << what;
+                }
+            }
+        }
+    }
+}
+
+TEST(BatchEngine, ConcurrentCallersOnOneEngineMatchSerialCalls)
+{
+    // Four threads share one engine, so some calls find its retained
+    // forward-pass state taken and run on a state of their own. Each
+    // thread runs a different mix of batch sizes and modes, and every
+    // answer must equal the same call made serially beforehand.
+    nn::Network net = nn::buildMiniLeNet(nn::PoolingMode::Max, 43);
+    core::ScNetworkConfig cfg;
+    cfg.pooling = nn::PoolingMode::Max;
+    cfg.bitstream_len = 256;
+    cfg.stream_segment_words = 1;
+    const core::ScNetwork sc(net, cfg);
+
+    core::PredictOptions progressive;
+    progressive.mode = core::EngineMode::Progressive;
+    progressive.progressive_margin = 0.1;
+    progressive.progressive_min_bits = 64;
+
+    constexpr size_t kThreads = 4;
+    constexpr size_t kCallsPerThread = 6;
+    // Call k of thread t: a batch of 1 + (t + k) % 5 images (a single
+    // one through predictWith), Fused or Progressive by parity.
+    const auto run = [&](size_t t, size_t k) {
+        const size_t batch = 1 + (t + k) % 5;
+        const std::vector<nn::Tensor> images =
+            renderImages(batch, 10 + t * kCallsPerThread + k);
+        const core::PredictOptions opts =
+            (t + k) % 2 == 0 ? core::PredictOptions{} : progressive;
+        const uint64_t seed = 1000 + 37 * t + k;
+        CallOutcome r;
+        if (batch == 1) {
+            r.infos.resize(1);
+            r.preds = {sc.predictWith(images[0], seed, opts, &r.infos[0])};
+        } else {
+            r.preds = sc.forwardBatch(images, seed, opts, nullptr, &r.infos);
+        }
+        return r;
+    };
+
+    std::vector<std::vector<CallOutcome>> serial(kThreads);
+    for (size_t t = 0; t < kThreads; ++t)
+        for (size_t k = 0; k < kCallsPerThread; ++k)
+            serial[t].push_back(run(t, k));
+
+    std::vector<std::vector<CallOutcome>> concurrent(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (size_t k = 0; k < kCallsPerThread; ++k)
+                concurrent[t].push_back(run(t, k));
+        });
+    for (std::thread &th : threads)
+        th.join();
+
+    for (size_t t = 0; t < kThreads; ++t)
+        for (size_t k = 0; k < kCallsPerThread; ++k)
+            expectSameOutcome(concurrent[t][k], serial[t][k],
+                              "thread=" + std::to_string(t) +
+                                  " call=" + std::to_string(k));
 }
 
 } // namespace

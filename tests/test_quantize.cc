@@ -3,7 +3,11 @@
  * Tests for the Section 5.2 weight storage method.
  */
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -92,6 +96,52 @@ TEST(QuantizeLayer, TouchesWeightsAndBiases)
     for (float w : *fc.weights()) {
         double frac = (w + 1.0) / 0.5;
         EXPECT_NEAR(frac, std::round(frac), 1e-6);
+    }
+}
+
+TEST(QuantizeLayer, MatchesPerWeightQuantizationBitForBit)
+{
+    // quantizeLayer computes the code grid once per layer; every value
+    // it stores must be the float of quantizeWeight at the same
+    // precision, and both must equal the Section 5.2 formula written
+    // out with std::pow. The inputs are the edges (+-1, 0, out of
+    // range) and, for every code step, the float just below it and
+    // the step itself.
+    for (unsigned bits = 1; bits <= 12; ++bits) {
+        const double scale = std::pow(2.0, bits);
+        std::vector<float> xs = {-1.0f, 1.0f, 0.0f, -0.0f, -1.5f, 1.5f};
+        for (uint64_t k = 0; k <= (uint64_t{1} << bits); ++k) {
+            const auto step = static_cast<float>(
+                2.0 * static_cast<double>(k) / scale - 1.0);
+            xs.push_back(step);
+            xs.push_back(std::nextafter(step, -2.0f));
+        }
+        FullyConnected fc(xs.size(), 1);
+        *fc.weights() = xs;
+        (*fc.biases())[0] = xs[xs.size() / 2 + 1];
+        quantizeLayer(fc, bits);
+        const auto paper = [&](float x) {
+            const double c = std::clamp(static_cast<double>(x), -1.0, 1.0);
+            const uint64_t code =
+                std::min(static_cast<uint64_t>((c + 1.0) / 2.0 * scale),
+                         (uint64_t{1} << bits) - 1);
+            return static_cast<float>(
+                2.0 * (static_cast<double>(code) / scale) - 1.0);
+        };
+        for (size_t i = 0; i < xs.size(); ++i) {
+            const float per_weight =
+                static_cast<float>(quantizeWeight(xs[i], bits));
+            EXPECT_EQ(std::bit_cast<uint32_t>((*fc.weights())[i]),
+                      std::bit_cast<uint32_t>(per_weight))
+                << "bits=" << bits << " x=" << xs[i];
+            EXPECT_EQ(std::bit_cast<uint32_t>(per_weight),
+                      std::bit_cast<uint32_t>(paper(xs[i])))
+                << "bits=" << bits << " x=" << xs[i];
+        }
+        EXPECT_EQ(std::bit_cast<uint32_t>((*fc.biases())[0]),
+                  std::bit_cast<uint32_t>(static_cast<float>(
+                      quantizeWeight(xs[xs.size() / 2 + 1], bits))))
+            << "bits=" << bits;
     }
 }
 
